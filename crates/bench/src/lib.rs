@@ -2,9 +2,9 @@
 //!
 //! Every table (T1–T4) and figure (F1–F3) of the reconstructed evaluation
 //! (see `DESIGN.md` §3) has a binary in `src/bin/` that regenerates it on
-//! stdout in Markdown/CSV form; the Criterion micro-benchmarks live in
-//! `benches/`. This library holds the pieces they share: design metrics,
-//! Markdown emission, and the random-simulation baseline used by F2.
+//! stdout in Markdown/CSV form. This library holds the pieces they share:
+//! design metrics, Markdown emission, and the random-simulation baseline
+//! used by F2.
 
 #![warn(missing_docs)]
 pub mod tables;

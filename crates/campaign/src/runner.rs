@@ -1197,7 +1197,6 @@ pub(crate) fn finish(
         .field("verdict", verdict.tag())
         .field("attempts", attempts)
         .field("wall_ms", wall.as_millis() as u64)
-        .field("engine", engine)
         .field("proof_engine", engine)
         .field("mismatch", mismatch)
         .field("cache_hit", cached)
@@ -1249,7 +1248,6 @@ pub(crate) fn finish(
             .field("verdict", verdict.tag())
             .field("attempts", attempts)
             .field("engine", engine)
-            .field("proof_engine", engine)
             .field("frames_solved", frames_solved)
             .field("wall_ms", wall.as_millis() as u64)
             .field("mismatch", mismatch),

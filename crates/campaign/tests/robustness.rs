@@ -109,6 +109,14 @@ fn campaign_survives_panics_and_exhaustion() {
     }
     let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
     assert_eq!(count(r#""type":"job_verdict""#), 3);
+    // Engine attribution goes by one name only.
+    let verdicts = lines
+        .iter()
+        .filter(|l| l.contains(r#""type":"job_verdict""#));
+    for l in verdicts {
+        assert!(l.contains(r#""proof_engine":"#), "no proof_engine: {l}");
+        assert!(!l.contains(r#""engine":"#), "duplicate engine field: {l}");
+    }
     assert_eq!(count(r#""type":"job_retry""#), 2);
     assert_eq!(count(r#""type":"campaign_summary""#), 1);
     assert_eq!(count(r#""verdict":"failed""#), 1);

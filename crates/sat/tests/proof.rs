@@ -94,27 +94,3 @@ fn random_unsat_instances_yield_checkable_proofs() {
     }
     assert!(checked >= 10, "too few unsat instances sampled: {checked}");
 }
-
-#[cfg(gqed_proptest)]
-mod proptests {
-    use super::solve_with_proof;
-    use gqed_sat::{check_rup_proof, SatResult};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(80))]
-
-        #[test]
-        fn every_unsat_verdict_is_certified(
-            clauses in prop::collection::vec(
-                prop::collection::vec((1i32..=8).prop_flat_map(|v| prop_oneof![Just(v), Just(-v)]), 1..=3),
-                1..=60,
-            ),
-        ) {
-            let (r, proof) = solve_with_proof(&clauses);
-            if r == SatResult::Unsat {
-                prop_assert_eq!(check_rup_proof(&clauses, &proof), Ok(()));
-            }
-        }
-    }
-}

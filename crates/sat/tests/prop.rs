@@ -6,9 +6,8 @@
 //! fuzzed the same way — these paths carry the BMC engine, so they get the
 //! heaviest scrutiny.
 //!
-//! The proptest suites are opt-in (`--cfg gqed_proptest` with the
-//! `proptest` dev-dependency restored); the deterministic seeded fuzz
-//! below always runs and needs nothing beyond the workspace.
+//! The fuzz is seeded (SplitMix64), so every run checks the same
+//! instances and needs nothing beyond the workspace.
 
 use gqed_logic::SplitMix64;
 use gqed_sat::{SatResult, Solver};
@@ -168,107 +167,5 @@ fn random_hard_instances_solved_consistently() {
             s2.add_clause(c);
         }
         assert_eq!(s2.solve(&[]), r1, "round {round}: verdict instability");
-    }
-}
-
-#[cfg(gqed_proptest)]
-mod proptests {
-    use super::{brute_force_sat, model_satisfies};
-    use gqed_sat::{SatResult, Solver};
-    use proptest::prelude::*;
-
-    /// A random clause: non-empty vector of DIMACS lits over `1..=num_vars`.
-    fn clause_strategy(num_vars: i32) -> impl Strategy<Value = Vec<i32>> {
-        prop::collection::vec(
-            (1..=num_vars).prop_flat_map(|v| prop_oneof![Just(v), Just(-v)]),
-            1..=4,
-        )
-    }
-
-    fn cnf_strategy() -> impl Strategy<Value = (i32, Vec<Vec<i32>>)> {
-        (2i32..=10).prop_flat_map(|nv| {
-            prop::collection::vec(clause_strategy(nv), 1..=40).prop_map(move |cs| (nv, cs))
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(300))]
-
-        #[test]
-        fn agrees_with_brute_force((nv, clauses) in cnf_strategy()) {
-            let mut s = Solver::new();
-            for _ in 0..nv { s.new_var(); }
-            for c in &clauses { s.add_clause(c); }
-            let expect = brute_force_sat(nv, &clauses, &[]);
-            let got = s.solve(&[]);
-            prop_assert_eq!(got == SatResult::Sat, expect);
-            if got == SatResult::Sat {
-                prop_assert!(model_satisfies(&s, &clauses), "model does not satisfy formula");
-            }
-        }
-
-        #[test]
-        fn agrees_under_assumptions(
-            (nv, clauses) in cnf_strategy(),
-            assump_bits in prop::collection::vec(any::<bool>(), 3),
-        ) {
-            let mut s = Solver::new();
-            for _ in 0..nv { s.new_var(); }
-            for c in &clauses { s.add_clause(c); }
-            // Assume polarities for up to 3 of the variables.
-            let assumps: Vec<i32> = assump_bits
-                .iter()
-                .enumerate()
-                .take(nv as usize)
-                .map(|(i, &pos)| if pos { i as i32 + 1 } else { -(i as i32 + 1) })
-                .collect();
-            let expect = brute_force_sat(nv, &clauses, &assumps);
-            let got = s.solve(&assumps);
-            prop_assert_eq!(got == SatResult::Sat, expect);
-            if got == SatResult::Sat {
-                prop_assert!(model_satisfies(&s, &clauses));
-                for &a in &assumps {
-                    prop_assert!(s.value(a), "assumption {} violated in model", a);
-                }
-            }
-            // The solver must remain usable and consistent afterwards.
-            let unconstrained = s.solve(&[]);
-            prop_assert_eq!(
-                unconstrained == SatResult::Sat,
-                brute_force_sat(nv, &clauses, &[])
-            );
-        }
-
-        #[test]
-        fn incremental_matches_monolithic(
-            (nv, clauses) in cnf_strategy(),
-            split in 0usize..40,
-        ) {
-            // Add clauses in two batches with a solve in between; the final
-            // verdict must match solving everything at once.
-            let split = split.min(clauses.len());
-            let mut s = Solver::new();
-            for _ in 0..nv { s.new_var(); }
-            for c in &clauses[..split] { s.add_clause(c); }
-            let _ = s.solve(&[]);
-            for c in &clauses[split..] { s.add_clause(c); }
-            let got = s.solve(&[]);
-            let expect = brute_force_sat(nv, &clauses, &[]);
-            prop_assert_eq!(got == SatResult::Sat, expect);
-            if got == SatResult::Sat {
-                prop_assert!(model_satisfies(&s, &clauses));
-            }
-        }
-
-        #[test]
-        fn repeated_solves_are_stable((nv, clauses) in cnf_strategy()) {
-            let mut s = Solver::new();
-            for _ in 0..nv { s.new_var(); }
-            for c in &clauses { s.add_clause(c); }
-            let first = s.solve(&[]);
-            for _ in 0..3 {
-                prop_assert_eq!(s.solve(&[]), first);
-            }
-        }
     }
 }

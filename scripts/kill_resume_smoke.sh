@@ -22,7 +22,7 @@ trap 'rm -rf "$WORK"' EXIT
 
 # A campaign long enough to survive until the kill: every flow of two
 # designs, single worker, no deadline.
-ARGS=(campaign relu vecadd --jobs 1 --no-race)
+ARGS=(campaign relu vecadd --jobs 1 --engines bmc)
 
 echo "== reference run =="
 "$GQED" "${ARGS[@]}" --journal "$WORK/ref.j1" --summary-out "$WORK/ref.txt" \

@@ -61,8 +61,5 @@ echo "== pipeline bench (cold vs warm) =="
 cargo run --release -q --bin gqed -- bench \
   --out "$out/BENCH_pipeline.json" | tee "$out/bench.txt"
 
-echo "== criterion micro-benchmarks (gated; no-op without --cfg gqed_criterion) =="
-cargo bench -p gqed-bench 2>&1 | tee "$out/criterion.txt"
-
 echo
 echo "all artifacts written to $out/"

@@ -1,161 +1,290 @@
 //! `gqed` — command-line front-end to the G-QED verification flow.
 //!
-//! ```text
-//! gqed list                         designs and their bug catalogues
-//! gqed check <design> [opts]        run a verification flow
-//!      --bug <id>                   inject a catalogued bug
-//!      --flow gqed|aqed|conv        flow to run (default gqed)
-//!      --bound <n>                  BMC bound (default: design recommendation)
-//!      --vcd <file>                 dump the counterexample waveform
-//! gqed hunt [<design>|--all]        sweep a design's bug catalogue with G-QED
-//! gqed export <design> [opts]       emit the design as BTOR2 on stdout
-//!      --bug <id>                   inject a catalogued bug first
-//!      --wrapped                    export the G-QED-wrapped model instead
-//!      --format btor2|dot|smt2      output format (default btor2)
-//!      --frame <k>                  smt2 only: frame to assert the first
-//!                                   property at (default 5)
-//! gqed bmc <file.btor2> [opts]      model-check an external BTOR2 file
-//!      --bound <n>                  BMC bound (default 20)
-//!      --prove                      try k-induction after clean BMC
-//! gqed prove <design>               k-induction on the conventional assertions
-//!      --max-k <n>                  induction depth limit (default 6)
-//! gqed campaign [<design>…|--all]   run the full verification campaign
-//!      --jobs <n>                   worker threads (default 1)
-//!      --deadline-ms <m>            per-attempt deadline, Luby-escalated
-//!      --budget <c>                 per-attempt conflict budget, Luby-escalated
-//!      --max-attempts <n>           escalation attempts (default 4)
-//!      --telemetry <file>           write JSONL telemetry (schema: EXPERIMENTS.md)
-//!      --flow gqed[,aqed,conv]      restrict to the listed flows
-//!      --engines bmc,kind,pdr       proof-engine portfolio raced on clean
-//!                                   designs (default: all three)
-//!      --no-race                    shorthand for --engines bmc (plain
-//!                                   deterministic bounded BMC)
-//!      --cold                       disable the warm-start pipeline
-//!                                   (model cache + resumable sessions)
-//!      --journal <file>             crash-safe write-ahead journal of verdicts
-//!                                   (schema: EXPERIMENTS.md)
-//!      --resume <file>              resume from a journal: skip obligations
-//!                                   with settled verdicts, re-run the rest,
-//!                                   merge into one summary
-//!      --mem-limit <bytes[K|M|G]>   clause-arena byte budget per solver;
-//!                                   memory-stopped jobs retry cold
-//!      --summary-out <file>         write the normalized per-obligation
-//!                                   summary (stable across runs/resumes)
-//!      --store <file>               content-addressed verdict store: serve
-//!                                   unchanged obligations from disk, publish
-//!                                   fresh conclusive verdicts back
-//!      --fleet <n>                  solve on n supervised worker *processes*
-//!                                   (gqed worker children) instead of threads:
-//!                                   crashes are contained, crashed obligations
-//!                                   requeued, repeat offenders quarantined as
-//!                                   `poisoned`
-//!      --crash-budget <n>           worker crashes one obligation may cause
-//!                                   before quarantine (default 3)
-//!      --heartbeat-timeout-ms <m>   silence after which a worker is declared
-//!                                   dead and restarted (default 30000)
-//!      --chaos-kills <n>            chaos testing: seeded-randomly kill the
-//!                                   worker on n obligations' first dispatch
-//!      --chaos-seed <s>             seed for --chaos-kills (default 1)
-//!
-//!      SIGINT/SIGTERM cancel the campaign gracefully: in-flight solvers
-//!      stop at the next poll, pending obligations drain as `cancelled`
-//!      with journal checkpoints, and the exit code is 130. A second
-//!      signal exits immediately.
-//! gqed mutants [<design>…] [opts]   seeded mutation campaign: synthesize
-//!                                   mutants, solve them, report the
-//!                                   detection-rate table
-//!      --seed <s>                   mutation seed (default 1)
-//!      --per-design <n>             distinct mutants per design (default 10)
-//!      --out <file>                 report path (default BENCH_mutants.json)
-//!      --floor <f>                  detection-rate regression floor
-//!      plus the campaign knobs (--jobs, --deadline-ms, --budget,
-//!      --max-attempts, --telemetry, --flow, --journal, --resume,
-//!      --mem-limit, --summary-out, --store, --engines, --no-race);
-//!      engines default to bmc-only so the table is byte-identical at
-//!      any worker count
-//! gqed serve [opts]                 long-running campaign service (TCP,
-//!                                   line-delimited JSON; see EXPERIMENTS.md)
-//!      --addr <host:port>           listen address (default 127.0.0.1:7878;
-//!                                   port 0 picks an ephemeral port)
-//!      --store <file>               persistent verdict store shared by every
-//!                                   batch (default: in-memory, process-lifetime)
-//!      --telemetry <file>           write serve_error/serve_summary JSONL
-//!                                   telemetry for the accept loop
-//!      --max-request-bytes <n>      cap on one request line (default 8 MiB);
-//!                                   oversize requests get a structured error
-//!      --read-timeout-ms <m>        socket read timeout (default 30000;
-//!                                   0 disables)
-//!      plus the campaign solver knobs (--jobs, --deadline-ms, --budget,
-//!      --max-attempts, --engines, --no-race, --cold, --mem-limit) as the
-//!      base configuration; each batch request may override them
-//! gqed submit [<design>…|--all]     submit one batch to a running server
-//!      --addr <host:port>           server address (default 127.0.0.1:7878)
-//!      --batch <label>              batch label echoed in telemetry
-//!      --flow gqed[,aqed,conv]      restrict to the listed flows
-//!      --jobs/--deadline-ms/--budget/--max-attempts/--engines
-//!                                   per-batch overrides of the server's base
-//!      --telemetry <file>           write the streamed JSONL telemetry
-//!      --summary-out <file>         write the normalized summary
-//!      --retries <n>                retry refused/broken connections with
-//!                                   capped exponential backoff (default 0)
-//!      --retry-delay-ms <m>         base retry delay (default 200)
-//!      --shutdown                   ask the server to shut down instead
-//! gqed worker                       fleet worker child (internal): solves
-//!                                   single-obligation work_request lines from
-//!                                   stdin, answers on stdout (EXPERIMENTS.md)
-//! gqed bench [opts]                 cold-vs-warm pipeline benchmark
-//!      --quick                      small suite for the CI smoke step
-//!      --out <file>                 report path (default BENCH_pipeline.json)
-//!      --telemetry <file>           write attempt-level JSONL telemetry
-//! gqed productivity [--features n --properties n]
-//!                                   evaluate the person-day cost model
-//! ```
+//! [`COMMANDS`] lists the subcommands; each one's flags are declared
+//! once, in the flag tables below, with their meaning and defaults.
+//! Arguments no table claims are the subcommand's operands. An unknown
+//! flag, a missing or unparsable value, or a stray operand prints one
+//! line naming it and exits 2.
 
+use gqed::campaign::{
+    CampaignConfig, CampaignSummary, EngineId, FleetConfig, FlowFilter, Obligation, Telemetry,
+};
 use gqed::core::productivity::{
     conventional_person_days, gqed_person_days, productivity_gain, CaseStudy, ConventionalCosts,
     GqedCosts,
 };
-use gqed::core::theory::evaluation_bound;
 use gqed::core::{check_design, synthesize, CheckKind, QedConfig, Verdict};
 use gqed::ha::{all_designs, Design, DesignEntry};
 use gqed::ir::to_btor2;
+use std::path::Path;
 use std::process::exit;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// One flag-table entry: the flag and whether it consumes the next
+/// argument as its value.
+type Flag = (&'static str, bool);
+const VALUE: bool = true;
+const SWITCH: bool = false;
+
+/// Solver knobs: the configuration of `campaign`, `mutants` and `serve`
+/// (whose batches may override it), and `submit`'s per-batch overrides.
+const KNOBS: &[Flag] = &[
+    ("--jobs", VALUE),         // worker threads (default 1)
+    ("--deadline-ms", VALUE),  // per-attempt deadline, Luby-escalated
+    ("--budget", VALUE),       // per-attempt conflict budget, Luby-escalated
+    ("--max-attempts", VALUE), // escalation attempts (default 4)
+    ("--engines", VALUE),      // clean-design portfolio from bmc,kind,pdr (default all)
+];
+/// Knobs of a local solver process: `campaign`, `mutants`, `serve`.
+const LOCAL: &[Flag] = &[
+    ("--cold", SWITCH),     // disable the warm-start pipeline (model cache, sessions)
+    ("--mem-limit", VALUE), // clause-arena bytes[K|M|G] per solver; stopped jobs retry cold
+];
+/// A local campaign run: `campaign`, `mutants`. SIGINT/SIGTERM cancel it
+/// gracefully: in-flight solvers stop at the next poll, pending
+/// obligations drain as `cancelled` with journal checkpoints, and the
+/// exit code is 130. A second signal exits immediately.
+const RUN: &[Flag] = &[
+    ("--flow", VALUE),        // restrict to flows from gqed,aqed,conv (default all)
+    ("--telemetry", VALUE),   // JSONL telemetry file (schema: EXPERIMENTS.md)
+    ("--journal", VALUE),     // crash-safe write-ahead journal of verdicts
+    ("--resume", VALUE),      // resume a journal: re-run only the unsettled obligations
+    ("--summary-out", VALUE), // normalized summary, stable across runs and resumes
+    ("--store", VALUE),       // content-addressed verdict store: hits skip the solver
+];
+/// Solve on supervised `gqed worker` processes instead of threads:
+/// crashes are contained, crashed obligations requeued, repeat offenders
+/// quarantined as `poisoned`. The flags after `--fleet` require it.
+const FLEET: &[Flag] = &[
+    ("--fleet", VALUE),                // worker processes
+    ("--crash-budget", VALUE),         // crashes one obligation may cause (default 3)
+    ("--heartbeat-timeout-ms", VALUE), // silence before a restart (default 30000)
+    ("--chaos-kills", VALUE),          // kill the worker on n seeded first dispatches
+    ("--chaos-seed", VALUE),           // seed for --chaos-kills (default 1)
+];
+const CHECK: &[Flag] = &[
+    ("--bug", VALUE),   // inject a catalogued bug
+    ("--flow", VALUE),  // gqed|aqed|conv (default gqed)
+    ("--bound", VALUE), // BMC bound (default: the design's recommendation)
+    ("--vcd", VALUE),   // dump the counterexample waveform to this file
+];
+const EXPORT: &[Flag] = &[
+    ("--bug", VALUE),      // inject a catalogued bug first
+    ("--wrapped", SWITCH), // export the G-QED-wrapped model instead
+    ("--format", VALUE),   // btor2|dot|smt2 (default btor2)
+    ("--frame", VALUE),    // smt2: frame to assert the first property at (default 5)
+];
+const BMC: &[Flag] = &[
+    ("--bound", VALUE),  // BMC bound (default 20)
+    ("--prove", SWITCH), // try k-induction after a clean BMC run
+];
+const PROVE: &[Flag] = &[
+    ("--bug", VALUE),   // inject a catalogued bug first
+    ("--max-k", VALUE), // induction depth limit (default 6)
+];
+const ALL: &[Flag] = &[("--all", SWITCH)]; // every catalogued design
+const MUTANTS: &[Flag] = &[
+    ("--seed", VALUE),       // mutation seed (default 1)
+    ("--per-design", VALUE), // distinct mutants per design (default 10)
+    ("--out", VALUE),        // report path (default BENCH_mutants.json)
+    ("--floor", VALUE),      // detection-rate regression floor
+];
+const SERVE: &[Flag] = &[
+    ("--addr", VALUE),      // listen address (default 127.0.0.1:7878; port 0: any)
+    ("--store", VALUE),     // persistent verdict store (default in-memory)
+    ("--telemetry", VALUE), // serve_error/serve_summary JSONL telemetry
+    ("--max-request-bytes", VALUE), // cap on one request line (default 8 MiB)
+    ("--read-timeout-ms", VALUE), // socket read timeout (default 30000; 0 disables)
+];
+const SUBMIT: &[Flag] = &[
+    ("--addr", VALUE),           // server address (default 127.0.0.1:7878)
+    ("--batch", VALUE),          // batch label echoed in telemetry (default batch)
+    ("--flow", VALUE),           // restrict to flows from gqed,aqed,conv (default all)
+    ("--telemetry", VALUE),      // write the streamed JSONL telemetry
+    ("--summary-out", VALUE),    // write the normalized summary
+    ("--retries", VALUE),        // retry refused/broken connections, capped backoff (default 0)
+    ("--retry-delay-ms", VALUE), // base retry delay (default 200)
+    ("--shutdown", SWITCH),      // ask the server to shut down instead
+];
+const BENCH: &[Flag] = &[
+    ("--quick", SWITCH),    // small suite for the CI smoke step
+    ("--out", VALUE),       // report path (default BENCH_pipeline.json)
+    ("--telemetry", VALUE), // attempt-level JSONL telemetry
+];
+const PRODUCTIVITY: &[Flag] = &[
+    ("--features", VALUE),   // case-study features (default 120)
+    ("--properties", VALUE), // case-study properties (default 160)
+];
+
+/// A subcommand.
+struct Command(
+    &'static str,               // name
+    &'static str,               // operands as the usage line shows them; empty for none
+    &'static [&'static [Flag]], // flag tables
+    fn(&Args),                  // handler
+);
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    // Designs and their bug catalogues.
+    Command("list", "", &[], cmd_list),
+    // One verification flow on one design.
+    Command("check", "<design>", &[CHECK], cmd_check),
+    // The design, or its G-QED-wrapped model, as BTOR2, dot or SMT2.
+    Command("export", "<design>", &[EXPORT], cmd_export),
+    // BMC of an external BTOR2 file.
+    Command("bmc", "<file.btor2>", &[BMC], cmd_bmc),
+    // k-induction on the conventional assertions.
+    Command("prove", "<design>", &[PROVE], cmd_prove),
+    // The verification campaign. `--flow gqed --engines bmc` is the
+    // catalogue bug hunt: one G-QED check per bug, MISMATCH on disagreement.
+    Command("campaign", "[<design>…|--all]", &[KNOBS, LOCAL, RUN, FLEET, ALL], cmd_campaign),
+    // Seeded mutation campaign: synthesize mutants, solve them, report the
+    // detection-rate table. Engines default to bmc-only so the table is
+    // byte-identical at any worker count.
+    Command("mutants", "[<design>…]", &[KNOBS, LOCAL, RUN, MUTANTS], cmd_mutants),
+    // Long-running campaign service (TCP, line-delimited JSON; EXPERIMENTS.md).
+    Command("serve", "", &[KNOBS, LOCAL, SERVE], cmd_serve),
+    // One batch to a running server.
+    Command("submit", "[<design>…|--all]", &[KNOBS, SUBMIT, ALL], cmd_submit),
+    // Fleet worker child (internal): work_request lines on stdin, answers on
+    // stdout (EXPERIMENTS.md).
+    Command("worker", "", &[], cmd_worker),
+    // Cold-vs-warm pipeline benchmark.
+    Command("bench", "", &[BENCH], cmd_bench),
+    // The person-day cost model.
+    Command("productivity", "", &[PRODUCTIVITY], cmd_productivity),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("check") => cmd_check(&args[1..]),
-        Some("hunt") => cmd_hunt(&args[1..]),
-        Some("export") => cmd_export(&args[1..]),
-        Some("bmc") => cmd_bmc(&args[1..]),
-        Some("prove") => cmd_prove(&args[1..]),
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("mutants") => cmd_mutants(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("worker") => exit(gqed::campaign::run_worker()),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("productivity") => cmd_productivity(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: gqed <list|check|hunt|export|bmc|prove|campaign|mutants|serve|submit|worker|bench|productivity> …"
-            );
-            eprintln!("       (see the crate docs or src/bin/gqed.rs for options)");
-            exit(2);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let command = argv
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.0 == name));
+    let Some(command @ Command(.., run)) = command else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        eprintln!("usage: gqed <{}> …", names.join("|"));
+        eprintln!("       (see the crate docs or src/bin/gqed.rs for options)");
+        exit(2);
+    };
+    run(&Args::parse(command, &argv[1..]));
+}
+
+/// A command line split by its subcommand's flag table: every argument
+/// the table does not claim is positional.
+struct Args {
+    name: &'static str,
+    operands: &'static str,
+    groups: &'static [&'static [Flag]],
+    flags: Vec<(&'static str, Option<String>)>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    fn parse(&Command(name, operands, groups, _): &Command, argv: &[String]) -> Args {
+        let mut args = Args {
+            name,
+            operands,
+            groups,
+            flags: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut rest = argv.iter();
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with("--") {
+                args.positional.push(arg.clone());
+                continue;
+            }
+            let Some(&(name, takes_value)) = args.table().find(|f| f.0 == arg) else {
+                args.fail(&format!("unknown flag {arg}"));
+            };
+            let value = if takes_value {
+                match rest.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => args.fail(&format!("{name} expects a value")),
+                }
+            } else {
+                None
+            };
+            args.flags.push((name, value));
+        }
+        if operands.is_empty() {
+            if let Some(extra) = args.positional.first() {
+                args.fail(&format!("unexpected argument '{extra}'"));
+            }
+        }
+        args
+    }
+
+    fn table(&self) -> impl Iterator<Item = &'static Flag> {
+        self.groups.iter().flat_map(|group| group.iter())
+    }
+
+    fn fail(&self, msg: &str) -> ! {
+        eprintln!("gqed {}: {msg}", self.name);
+        exit(2);
+    }
+
+    /// The usage line, generated from the flag table.
+    fn usage(&self) -> ! {
+        let mut line = format!("usage: gqed {} {}", self.name, self.operands);
+        for &(name, takes_value) in self.table() {
+            line += &if takes_value {
+                format!(" [{name} <value>]")
+            } else {
+                format!(" [{name}]")
+            };
+        }
+        eprintln!("{line}");
+        exit(2);
+    }
+
+    /// The flag's entry: `Some(None)` for a given switch, `Some(Some(v))`
+    /// for a given value flag (its first occurrence).
+    fn get(&self, name: &str) -> Option<&Option<String>> {
+        debug_assert!(
+            self.table().any(|f| f.0 == name),
+            "{name} is not in the gqed {} flag table",
+            self.name
+        );
+        self.flags.iter().find(|f| f.0 == name).map(|f| &f.1)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.get(name).and_then(|v| v.as_deref())
+    }
+
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.value(name).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| self.fail(&format!("bad {name} '{v}'")))
+        })
+    }
+
+    /// The subcommand's single operand, or the usage line.
+    fn operand(&self) -> &str {
+        match self.positional.as_slice() {
+            [one] => one,
+            _ => self.usage(),
         }
     }
-}
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+    /// The design operands, each validated. A subcommand that takes
+    /// `--all` needs it or at least one design.
+    fn designs(&self) -> &[String] {
+        if self.positional.is_empty() && self.groups.contains(&ALL) && !self.has("--all") {
+            self.usage();
+        }
+        for name in &self.positional {
+            find_design(name); // validate early with the friendly error
+        }
+        &self.positional
+    }
 }
 
 fn find_design(name: &str) -> DesignEntry {
@@ -169,14 +298,14 @@ fn find_design(name: &str) -> DesignEntry {
         })
 }
 
-fn build(entry: &DesignEntry, args: &[String]) -> Design {
-    match flag_value(args, "--bug") {
+fn build(entry: &DesignEntry, args: &Args) -> Design {
+    match args.value("--bug") {
         Some(b) => entry.build_buggy(b),
         None => entry.build_clean(),
     }
 }
 
-fn cmd_list() {
+fn cmd_list(_: &Args) {
     for entry in all_designs() {
         let d = entry.build_clean();
         println!(
@@ -204,29 +333,18 @@ fn cmd_list() {
     }
 }
 
-fn cmd_check(args: &[String]) {
-    let Some(name) = args.first() else {
-        eprintln!("usage: gqed check <design> [--bug id] [--flow gqed|aqed|conv] [--bound n] [--vcd file]");
-        exit(2);
-    };
-    let entry = find_design(name);
+fn cmd_check(args: &Args) {
+    let entry = find_design(args.operand());
     let design = build(&entry, args);
-    let kind = match flag_value(args, "--flow") {
+    let kind = match args.value("--flow") {
         None | Some("gqed") => CheckKind::GQed,
         Some("aqed") => CheckKind::AQed,
         Some("conv") | Some("conventional") => CheckKind::Conventional,
-        Some(f) => {
-            eprintln!("unknown flow '{f}'");
-            exit(2);
-        }
+        Some(f) => args.fail(&format!("unknown flow '{f}'")),
     };
-    let bound = match flag_value(args, "--bound") {
-        Some(b) => b.parse().unwrap_or_else(|_| {
-            eprintln!("bad bound '{b}'");
-            exit(2);
-        }),
-        None => design.meta.recommended_bound,
-    };
+    let bound = args
+        .parsed("--bound")
+        .unwrap_or(design.meta.recommended_bound);
     eprintln!(
         "checking {} ({}) with {} at bound {bound}…",
         design.meta.name,
@@ -256,7 +374,7 @@ fn cmd_check(args: &[String]) {
                 }
             };
             println!("{}", trace.pretty(&d2.ctx, &ts));
-            if let Some(path) = flag_value(args, "--vcd") {
+            if let Some(path) = args.value("--vcd") {
                 let vcd = trace.to_vcd(&d2.ctx, &ts);
                 std::fs::write(path, vcd.render()).expect("write VCD");
                 eprintln!("waveform written to {path}");
@@ -272,52 +390,11 @@ fn cmd_check(args: &[String]) {
     }
 }
 
-fn cmd_hunt(args: &[String]) {
-    let entries = all_designs();
-    let selected: Vec<&DesignEntry> = match args.first().map(String::as_str) {
-        Some("--all") | None => entries.iter().collect(),
-        Some(name) => vec![entries.iter().find(|e| e.name == name).unwrap_or_else(|| {
-            eprintln!("unknown design '{name}'");
-            exit(2);
-        })],
-    };
-    let mut failures = 0;
-    for entry in selected {
-        println!("== {} ==", entry.name);
-        for bug in (entry.bugs)() {
-            let d = entry.build_buggy(bug.id);
-            let bound = evaluation_bound(&d, &bug);
-            let o = check_design(&d, CheckKind::GQed, bound);
-            let ok = o.verdict.is_violation() == bug.expected.gqed;
-            if !ok {
-                failures += 1;
-            }
-            println!(
-                "  {:32} {:40} {}",
-                bug.id,
-                match &o.verdict {
-                    Verdict::Violation { property, cycles } =>
-                        format!("caught: {property} ({cycles}cy)"),
-                    Verdict::CleanUpTo(b) => format!("clean@{b}"),
-                },
-                if ok { "ok" } else { "MISMATCH" }
-            );
-        }
-    }
-    if failures > 0 {
-        eprintln!("{failures} verdicts disagree with the catalogue");
-        exit(1);
-    }
-}
-
-fn cmd_export(args: &[String]) {
-    let Some(name) = args.first() else {
-        eprintln!("usage: gqed export <design> [--bug id] [--wrapped] [--format btor2|dot]");
-        exit(2);
-    };
-    let entry = find_design(name);
+fn cmd_export(args: &Args) {
+    let entry = find_design(args.operand());
+    let k = args.parsed("--frame").unwrap_or(5);
     let mut design = build(&entry, args);
-    let ts = if has_flag(args, "--wrapped") {
+    let ts = if args.has("--wrapped") {
         synthesize(&mut design, &QedConfig::gqed()).ts
     } else {
         // Attach the conventional assertions so the export carries
@@ -326,7 +403,7 @@ fn cmd_export(args: &[String]) {
         ts.bads = design.conventional.clone();
         ts
     };
-    match flag_value(args, "--format") {
+    match args.value("--format") {
         None | Some("btor2") => print!("{}", to_btor2(&design.ctx, &ts)),
         Some("dot") => {
             let mut roots: Vec<(String, gqed::ir::TermId)> = ts.outputs.clone();
@@ -338,23 +415,15 @@ fn cmd_export(args: &[String]) {
                 eprintln!("no properties to export; use --wrapped or a buggy build");
                 exit(2);
             }
-            let k = flag_value(args, "--frame")
-                .map(|v| v.parse().expect("bad --frame"))
-                .unwrap_or(5);
             print!("{}", gqed::ir::unrolling_to_smt2(&design.ctx, &ts, 0, k));
         }
-        Some(f) => {
-            eprintln!("unknown format '{f}'");
-            exit(2);
-        }
+        Some(f) => args.fail(&format!("unknown format '{f}'")),
     }
 }
 
-fn cmd_bmc(args: &[String]) {
-    let Some(path) = args.first() else {
-        eprintln!("usage: gqed bmc <file.btor2> [--bound n] [--prove]");
-        exit(2);
-    };
+fn cmd_bmc(args: &Args) {
+    let path = args.operand();
+    let bound: u32 = args.parsed("--bound").unwrap_or(20);
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
@@ -367,9 +436,6 @@ fn cmd_bmc(args: &[String]) {
         eprintln!("model has no bad properties");
         exit(2);
     }
-    let bound: u32 = flag_value(args, "--bound")
-        .map(|v| v.parse().expect("bad --bound"))
-        .unwrap_or(20);
     eprintln!(
         "model: {} inputs, {} states ({} bits), {} properties",
         ts.inputs.len(),
@@ -391,7 +457,7 @@ fn cmd_bmc(args: &[String]) {
         }
         gqed::bmc::BmcResult::NoneUpTo(b) => {
             println!("clean up to bound {b}");
-            if has_flag(args, "--prove") {
+            if args.has("--prove") {
                 for (i, bad) in ts.bads.iter().enumerate() {
                     let r = gqed::bmc::prove_k_induction(&ctx, &ts, i, 8);
                     println!(
@@ -413,16 +479,10 @@ fn cmd_bmc(args: &[String]) {
     }
 }
 
-fn cmd_prove(args: &[String]) {
-    let Some(name) = args.first() else {
-        eprintln!("usage: gqed prove <design> [--max-k n]");
-        exit(2);
-    };
-    let entry = find_design(name);
+fn cmd_prove(args: &Args) {
+    let entry = find_design(args.operand());
+    let max_k: u32 = args.parsed("--max-k").unwrap_or(6);
     let design = build(&entry, args);
-    let max_k: u32 = flag_value(args, "--max-k")
-        .map(|v| v.parse().expect("bad --max-k"))
-        .unwrap_or(6);
     let mut ts = design.ts.clone();
     ts.bads = design.conventional.clone();
     for (i, b) in ts.bads.iter().enumerate() {
@@ -443,87 +503,58 @@ fn cmd_prove(args: &[String]) {
     }
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    flag_value(args, name).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("bad {name} '{v}'");
-            exit(2);
-        })
-    })
-}
-
-/// The `--flow` filter shared by `campaign` and `submit`.
-fn parse_flows(args: &[String]) -> gqed::campaign::FlowFilter {
-    use gqed::campaign::FlowFilter;
-    match flag_value(args, "--flow") {
-        None => FlowFilter::all(),
-        Some(list) => {
-            let mut f = FlowFilter {
-                gqed: false,
-                aqed: false,
-                conventional: false,
-            };
-            for flow in list.split(',') {
-                match flow {
-                    "gqed" => f.gqed = true,
-                    "aqed" => f.aqed = true,
-                    "conv" | "conventional" => f.conventional = true,
-                    other => {
-                        eprintln!("unknown flow '{other}' (expected gqed, aqed or conv)");
-                        exit(2);
-                    }
-                }
-            }
-            f
+/// The `--flow` filter shared by `campaign`, `mutants` and `submit`.
+fn parse_flows(args: &Args) -> FlowFilter {
+    let Some(list) = args.value("--flow") else {
+        return FlowFilter::all();
+    };
+    let mut f = FlowFilter {
+        gqed: false,
+        aqed: false,
+        conventional: false,
+    };
+    for flow in list.split(',') {
+        match flow {
+            "gqed" => f.gqed = true,
+            "aqed" => f.aqed = true,
+            "conv" | "conventional" => f.conventional = true,
+            other => args.fail(&format!(
+                "unknown flow '{other}' (expected gqed, aqed or conv)"
+            )),
         }
     }
+    f
 }
 
-/// Engine selection shared by `campaign` and `serve`: `--engines` picks
-/// the clean-design proof portfolio; `--no-race` is the historical
-/// shorthand for the deterministic BMC-only path.
-fn parse_engines(args: &[String]) -> Vec<gqed::campaign::EngineId> {
-    use gqed::campaign::EngineId;
-    match (flag_value(args, "--engines"), has_flag(args, "--no-race")) {
-        (Some(_), true) => {
-            eprintln!(
-                "--engines and --no-race are mutually exclusive (--no-race means --engines bmc)"
-            );
-            exit(2);
-        }
-        (Some(list), false) => EngineId::parse_list(list).unwrap_or_else(|e| {
-            eprintln!("bad --engines '{list}': {e}");
-            exit(2);
-        }),
-        (None, true) => vec![EngineId::Bmc],
-        (None, false) => gqed::campaign::default_portfolio(),
-    }
-}
-
-/// The campaign configuration implied by the shared solver flags —
-/// `campaign` uses it directly, `serve` as the base configuration batch
-/// requests override.
-fn campaign_config_from_args(args: &[String]) -> gqed::campaign::CampaignConfig {
-    use gqed::campaign::CampaignConfig;
+/// The campaign configuration implied by the [`KNOBS`] and [`LOCAL`]
+/// flags — `campaign` and `mutants` use it directly, `serve` as the
+/// base configuration batch requests override.
+fn campaign_config(args: &Args) -> CampaignConfig {
+    let engines = match args.value("--engines") {
+        Some(list) => EngineId::parse_list(list)
+            .unwrap_or_else(|e| args.fail(&format!("bad --engines '{list}': {e}"))),
+        None => gqed::campaign::default_portfolio(),
+    };
     let mut config = CampaignConfig::default()
-        .with_engines(parse_engines(args))
-        .with_warm_start(!has_flag(args, "--cold"));
-    if let Some(jobs) = parse_flag(args, "--jobs") {
+        .with_engines(engines)
+        .with_warm_start(!args.has("--cold"));
+    if let Some(jobs) = args.parsed("--jobs") {
         config = config.with_jobs(jobs);
     }
-    if let Some(ms) = parse_flag(args, "--deadline-ms") {
+    if let Some(ms) = args.parsed("--deadline-ms") {
         config = config.with_deadline_ms(ms);
     }
-    if let Some(budget) = parse_flag(args, "--budget") {
+    if let Some(budget) = args.parsed("--budget") {
         config = config.with_base_budget(budget);
     }
-    if let Some(attempts) = parse_flag(args, "--max-attempts") {
+    if let Some(attempts) = args.parsed("--max-attempts") {
         config = config.with_max_attempts(attempts);
     }
-    if let Some(v) = flag_value(args, "--mem-limit") {
+    if let Some(v) = args.value("--mem-limit") {
         let bytes = parse_size(v).unwrap_or_else(|| {
-            eprintln!("bad --mem-limit '{v}' (expected bytes with optional K/M/G suffix)");
-            exit(2);
+            args.fail(&format!(
+                "bad --mem-limit '{v}' (expected bytes with optional K/M/G suffix)"
+            ))
         });
         config = config.with_mem_limit(bytes);
     }
@@ -543,6 +574,23 @@ fn parse_size(v: &str) -> Option<usize> {
         .parse::<usize>()
         .ok()
         .and_then(|n| n.checked_shl(shift))
+}
+
+fn open_telemetry(args: &Args) -> Telemetry {
+    match args.value("--telemetry") {
+        Some(path) => Telemetry::file(Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("cannot open telemetry file {path}: {e}");
+            exit(1);
+        }),
+        None => Telemetry::null(),
+    }
+}
+
+fn write_or_exit(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        exit(1);
+    });
 }
 
 /// Raw SIGINT/SIGTERM handling (no libc dependency): the first signal
@@ -576,187 +624,100 @@ mod signals {
     }
 }
 
-fn cmd_campaign(args: &[String]) {
-    use gqed::campaign::{
-        chaos_kill_plan, enumerate_obligations, manifest_crc, Campaign, FleetConfig, Journal,
-        Telemetry, VerdictStore,
-    };
-
-    let designs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(
-                    args.get(i.wrapping_sub(1)).map(String::as_str),
-                    Some(
-                        "--jobs"
-                            | "--deadline-ms"
-                            | "--budget"
-                            | "--max-attempts"
-                            | "--telemetry"
-                            | "--flow"
-                            | "--journal"
-                            | "--resume"
-                            | "--mem-limit"
-                            | "--summary-out"
-                            | "--engines"
-                            | "--store"
-                            | "--fleet"
-                            | "--crash-budget"
-                            | "--heartbeat-timeout-ms"
-                            | "--chaos-kills"
-                            | "--chaos-seed"
-                    )
-                )
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
-    if designs.is_empty() && !has_flag(args, "--all") {
-        eprintln!(
-            "usage: gqed campaign [<design>…|--all] [--jobs n] [--deadline-ms m] [--budget c]"
-        );
-        eprintln!("                     [--max-attempts n] [--telemetry file] [--flow gqed,aqed,conv] [--no-race]");
-        eprintln!("                     [--engines bmc,kind,pdr] [--journal file] [--resume file]");
-        eprintln!(
-            "                     [--mem-limit bytes[K|M|G]] [--summary-out file] [--store file]"
-        );
-        eprintln!(
-            "                     [--fleet n] [--crash-budget n] [--heartbeat-timeout-ms m] [--chaos-kills n] [--chaos-seed s]"
-        );
-        exit(2);
-    }
-    for name in &designs {
-        find_design(name); // validate early with the friendly error
-    }
-
-    let flows = parse_flows(args);
-    let interrupt = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let config = campaign_config_from_args(args).with_interrupt(std::sync::Arc::clone(&interrupt));
-    let store = flag_value(args, "--store").map(|path| {
-        VerdictStore::open(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open verdict store {path}: {e}");
-            exit(1);
-        })
-    });
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
-
-    let obligations = enumerate_obligations(flows, &designs);
-
-    // Process isolation: --fleet n solves on n supervised `gqed worker`
-    // child processes; --chaos-kills injects deterministic worker deaths
-    // for crash-containment testing.
-    let fleet = flag_value(args, "--fleet").map(|v| {
-        let workers: usize = v.parse().unwrap_or_else(|_| {
-            eprintln!("--fleet expects a worker count, got {v}");
-            exit(2);
-        });
-        let mut f = FleetConfig::default().with_workers(workers);
-        if let Some(v) = flag_value(args, "--crash-budget") {
-            f = f.with_crash_budget(v.parse().unwrap_or_else(|_| {
-                eprintln!("--crash-budget expects a count, got {v}");
-                exit(2);
-            }));
-        }
-        if let Some(v) = flag_value(args, "--heartbeat-timeout-ms") {
-            f = f.with_heartbeat_timeout_ms(v.parse().unwrap_or_else(|_| {
-                eprintln!("--heartbeat-timeout-ms expects milliseconds, got {v}");
-                exit(2);
-            }));
-        }
-        if let Some(v) = flag_value(args, "--chaos-kills") {
-            let kills: usize = v.parse().unwrap_or_else(|_| {
-                eprintln!("--chaos-kills expects a count, got {v}");
-                exit(2);
-            });
-            let seed: u64 = match flag_value(args, "--chaos-seed") {
-                Some(s) => s.parse().unwrap_or_else(|_| {
-                    eprintln!("--chaos-seed expects an integer, got {s}");
-                    exit(2);
-                }),
-                None => 1,
-            };
-            f = f.with_faults(chaos_kill_plan(&obligations, kills, seed));
-        }
-        f
-    });
-
-    // Crash-safe journaling: --resume replays (and truncates) an existing
-    // journal and keeps appending to it; --journal starts a fresh one.
-    if flag_value(args, "--journal").is_some() && flag_value(args, "--resume").is_some() {
-        eprintln!("--journal and --resume are mutually exclusive (resume appends to its journal)");
-        exit(2);
-    }
-    let (journal, resume) = if let Some(path) = flag_value(args, "--resume") {
-        let (journal, state) = Journal::resume(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot resume journal {path}: {e}");
-            exit(1);
-        });
-        match state.manifest_crc {
-            Some(crc) if crc == manifest_crc(&obligations) => {}
-            Some(_) => {
-                eprintln!(
-                    "journal {path} belongs to a different obligation set (manifest mismatch); \
-                     re-run with the original designs/flows"
-                );
-                exit(2);
-            }
-            None => {
-                eprintln!("journal {path} has no campaign_start record; cannot verify manifest");
-                exit(2);
-            }
-        }
-        eprintln!(
-            "resuming: {} of {} obligations already settled",
-            state.completed.len(),
-            obligations.len()
-        );
-        (Some(journal), Some(state))
-    } else if let Some(path) = flag_value(args, "--journal") {
-        let journal = Journal::create(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot create journal {path}: {e}");
-            exit(1);
-        });
-        (Some(journal), None)
-    } else {
-        (None, None)
-    };
-
-    // Graceful shutdown: forward SIGINT/SIGTERM into the campaign's
-    // cooperative interrupt flag.
+/// Graceful shutdown: returns a cooperative interrupt flag that
+/// SIGINT/SIGTERM set, announcing it on stderr when `announce` is set.
+fn interrupt_on_signal(announce: bool) -> Arc<AtomicBool> {
+    let interrupt = Arc::new(AtomicBool::new(false));
     #[cfg(unix)]
     {
         signals::install();
-        let flag = std::sync::Arc::clone(&interrupt);
+        let flag = Arc::clone(&interrupt);
         std::thread::spawn(move || loop {
-            if signals::SHUTDOWN.load(std::sync::atomic::Ordering::Relaxed) {
-                eprintln!("interrupt received; checkpointing and shutting down…");
-                flag.store(true, std::sync::atomic::Ordering::Relaxed);
+            if signals::SHUTDOWN.load(Ordering::Relaxed) {
+                if announce {
+                    eprintln!("interrupt received; checkpointing and shutting down…");
+                }
+                flag.store(true, Ordering::Relaxed);
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(25));
         });
     }
+    interrupt
+}
 
+/// Everything `campaign` and `mutants` share once their obligations are
+/// known: journal or resume with its manifest check, telemetry, verdict
+/// store, the signal watcher, the run itself and `--summary-out`.
+fn run_obligations(
+    args: &Args,
+    obligations: &[Obligation],
+    config: CampaignConfig,
+    fleet: Option<FleetConfig>,
+) -> CampaignSummary {
+    use gqed::campaign::{manifest_crc, Campaign, Journal, VerdictStore};
+
+    // Crash-safe journaling: --resume replays (and truncates) an existing
+    // journal and keeps appending to it; --journal starts a fresh one.
+    let (journal, resume) = match (args.value("--journal"), args.value("--resume")) {
+        (Some(_), Some(_)) => args
+            .fail("--journal and --resume are mutually exclusive (resume appends to its journal)"),
+        (None, Some(path)) => {
+            let (journal, state) = Journal::resume(Path::new(path)).unwrap_or_else(|e| {
+                eprintln!("cannot resume journal {path}: {e}");
+                exit(1);
+            });
+            match state.manifest_crc {
+                Some(crc) if crc == manifest_crc(obligations) => {}
+                // Mutant ids embed the seed, so this also rejects a
+                // journal from a different --seed or --per-design.
+                Some(_) => args.fail(&format!(
+                    "journal {path} belongs to a different obligation set (manifest mismatch); \
+                     re-run with the original arguments"
+                )),
+                None => args.fail(&format!(
+                    "journal {path} has no campaign_start record; cannot verify manifest"
+                )),
+            }
+            eprintln!(
+                "resuming: {} of {} obligations already settled",
+                state.completed.len(),
+                obligations.len()
+            );
+            (Some(journal), Some(state))
+        }
+        (Some(path), None) => {
+            let journal = Journal::create(Path::new(path)).unwrap_or_else(|e| {
+                eprintln!("cannot create journal {path}: {e}");
+                exit(1);
+            });
+            (Some(journal), None)
+        }
+        (None, None) => (None, None),
+    };
+    let telemetry = open_telemetry(args);
+    let store = args.value("--store").map(|path| {
+        VerdictStore::open(Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("cannot open verdict store {path}: {e}");
+            exit(1);
+        })
+    });
+    let config = config.with_interrupt(interrupt_on_signal(true));
+
+    let name = args.name;
     match fleet.as_ref() {
         Some(f) => eprintln!(
-            "campaign: {} obligations, {} worker process(es)…",
+            "{name}: {} obligations, {} worker process(es)…",
             obligations.len(),
             f.workers.max(1)
         ),
         None => eprintln!(
-            "campaign: {} obligations, {} worker(s)…",
+            "{name}: {} obligations, {} worker(s)…",
             obligations.len(),
             config.jobs.max(1)
         ),
     }
-    let mut campaign = Campaign::new(&obligations).config(config.clone());
+    let mut campaign = Campaign::new(obligations).config(config);
     if let Some(j) = journal.as_ref() {
         campaign = campaign.journal(j);
     }
@@ -766,17 +727,46 @@ fn cmd_campaign(args: &[String]) {
     if let Some(store) = store.as_ref() {
         campaign = campaign.verdict_store(store);
     }
-    if let Some(f) = fleet.clone() {
+    if let Some(f) = fleet {
         campaign = campaign.fleet(f);
     }
     let summary = campaign.run(&telemetry);
 
-    if let Some(path) = flag_value(args, "--summary-out") {
-        std::fs::write(path, summary.normalized_render()).unwrap_or_else(|e| {
-            eprintln!("cannot write summary file {path}: {e}");
-            exit(1);
-        });
+    if let Some(path) = args.value("--summary-out") {
+        write_or_exit(path, &summary.normalized_render());
     }
+    summary
+}
+
+/// The `--fleet` configuration, `None` without `--fleet`. The chaos plan
+/// is drawn over `obligations`.
+fn fleet_config(args: &Args, obligations: &[Obligation]) -> Option<FleetConfig> {
+    let Some(workers) = args.parsed("--fleet") else {
+        if let Some(&(name, _)) = FLEET[1..].iter().find(|f| args.has(f.0)) {
+            args.fail(&format!("{name} requires --fleet"));
+        }
+        return None;
+    };
+    let mut f = FleetConfig::default().with_workers(workers);
+    if let Some(budget) = args.parsed("--crash-budget") {
+        f = f.with_crash_budget(budget);
+    }
+    if let Some(ms) = args.parsed("--heartbeat-timeout-ms") {
+        f = f.with_heartbeat_timeout_ms(ms);
+    }
+    let seed = args.parsed("--chaos-seed").unwrap_or(1);
+    if let Some(kills) = args.parsed("--chaos-kills") {
+        f = f.with_faults(gqed::campaign::chaos_kill_plan(obligations, kills, seed));
+    }
+    Some(f)
+}
+
+fn cmd_campaign(args: &Args) {
+    let designs = args.designs();
+    let config = campaign_config(args);
+    let obligations = gqed::campaign::enumerate_obligations(parse_flows(args), designs);
+    let fleet = fleet_config(args, &obligations);
+    let summary = run_obligations(args, &obligations, config, fleet);
 
     println!(
         "{:34} {:8} {:44} {:>3} {:>10}  engine",
@@ -813,13 +803,13 @@ fn cmd_campaign(args: &[String]) {
         "engine wins: {} bmc, {} kind, {} pdr",
         summary.wins_bmc, summary.wins_kind, summary.wins_pdr
     );
-    if fleet.is_some() {
+    if args.has("--fleet") {
         println!(
             "fleet: {} worker crash(es), {} restart(s), {} requeue(s)",
             summary.worker_crashes, summary.worker_restarts, summary.requeued
         );
     }
-    if store.is_some() {
+    if args.has("--store") {
         println!(
             "verdict store: {} cache hits, {} cache misses",
             summary.cache_hits, summary.cache_misses
@@ -828,162 +818,32 @@ fn cmd_campaign(args: &[String]) {
     exit(summary.exit_code());
 }
 
-fn cmd_mutants(args: &[String]) {
-    use gqed::campaign::{
-        enumerate_mutant_obligations, manifest_crc, Campaign, EngineId, Journal, MutantsReport,
-        Telemetry, VerdictStore, DEFAULT_DETECTION_FLOOR,
-    };
+fn cmd_mutants(args: &Args) {
+    use gqed::campaign::{enumerate_mutant_obligations, MutantsReport, DEFAULT_DETECTION_FLOOR};
 
-    let designs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(
-                    args.get(i.wrapping_sub(1)).map(String::as_str),
-                    Some(
-                        "--jobs"
-                            | "--deadline-ms"
-                            | "--budget"
-                            | "--max-attempts"
-                            | "--telemetry"
-                            | "--flow"
-                            | "--journal"
-                            | "--resume"
-                            | "--mem-limit"
-                            | "--summary-out"
-                            | "--engines"
-                            | "--store"
-                            | "--seed"
-                            | "--per-design"
-                            | "--out"
-                            | "--floor"
-                    )
-                )
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
-    for name in &designs {
-        find_design(name); // validate early with the friendly error
-    }
-
-    let seed: u64 = parse_flag(args, "--seed").unwrap_or(1);
-    let per_design: usize = parse_flag(args, "--per-design").unwrap_or(10);
-    let floor: f64 = parse_flag(args, "--floor").unwrap_or(DEFAULT_DETECTION_FLOOR);
-    let out = flag_value(args, "--out").unwrap_or("BENCH_mutants.json");
-
+    let designs = args.designs();
+    let seed: u64 = args.parsed("--seed").unwrap_or(1);
+    let per_design: usize = args.parsed("--per-design").unwrap_or(10);
+    let floor: f64 = args.parsed("--floor").unwrap_or(DEFAULT_DETECTION_FLOOR);
+    let out = args.value("--out").unwrap_or("BENCH_mutants.json");
     let flows = parse_flows(args);
-    let interrupt = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut config =
-        campaign_config_from_args(args).with_interrupt(std::sync::Arc::clone(&interrupt));
+    let mut config = campaign_config(args);
     // Detection-rate tables must be byte-identical across runs and worker
     // counts, so the racing portfolio defaults off; --engines opts back in.
-    if flag_value(args, "--engines").is_none() && !has_flag(args, "--no-race") {
+    if !args.has("--engines") {
         config = config.with_engines(vec![EngineId::Bmc]);
     }
-    let store = flag_value(args, "--store").map(|path| {
-        VerdictStore::open(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open verdict store {path}: {e}");
-            exit(1);
-        })
-    });
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
 
     eprintln!("mutants: synthesizing {per_design} mutant(s) per design with seed {seed}…");
-    let batch = enumerate_mutant_obligations(seed, per_design, flows, &designs);
-    let obligations = &batch.obligations;
+    let batch = enumerate_mutant_obligations(seed, per_design, flows, designs);
     eprintln!(
         "mutants: {} accepted ({} no-ops and {} duplicates discarded before solving), {} obligations",
         batch.plans.len(),
         batch.discarded_noops,
         batch.discarded_dups,
-        obligations.len()
+        batch.obligations.len()
     );
-
-    if flag_value(args, "--journal").is_some() && flag_value(args, "--resume").is_some() {
-        eprintln!("--journal and --resume are mutually exclusive (resume appends to its journal)");
-        exit(2);
-    }
-    let (journal, resume) = if let Some(path) = flag_value(args, "--resume") {
-        let (journal, state) = Journal::resume(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot resume journal {path}: {e}");
-            exit(1);
-        });
-        match state.manifest_crc {
-            Some(crc) if crc == manifest_crc(obligations) => {}
-            Some(_) => {
-                // Mutant ids embed the seed, so this also rejects a journal
-                // from a different --seed or --per-design.
-                eprintln!(
-                    "journal {path} belongs to a different mutant batch (manifest mismatch); \
-                     re-run with the original seed/designs/flows"
-                );
-                exit(2);
-            }
-            None => {
-                eprintln!("journal {path} has no campaign_start record; cannot verify manifest");
-                exit(2);
-            }
-        }
-        eprintln!(
-            "resuming: {} of {} obligations already settled",
-            state.completed.len(),
-            obligations.len()
-        );
-        (Some(journal), Some(state))
-    } else if let Some(path) = flag_value(args, "--journal") {
-        let journal = Journal::create(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot create journal {path}: {e}");
-            exit(1);
-        });
-        (Some(journal), None)
-    } else {
-        (None, None)
-    };
-
-    #[cfg(unix)]
-    {
-        signals::install();
-        let flag = std::sync::Arc::clone(&interrupt);
-        std::thread::spawn(move || loop {
-            if signals::SHUTDOWN.load(std::sync::atomic::Ordering::Relaxed) {
-                eprintln!("interrupt received; checkpointing and shutting down…");
-                flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
-
-    eprintln!(
-        "mutants: {} obligations, {} worker(s)…",
-        obligations.len(),
-        config.jobs.max(1)
-    );
-    let mut campaign = Campaign::new(obligations).config(config.clone());
-    if let Some(j) = journal.as_ref() {
-        campaign = campaign.journal(j);
-    }
-    if let Some(s) = resume.as_ref() {
-        campaign = campaign.resume(s);
-    }
-    if let Some(store) = store.as_ref() {
-        campaign = campaign.verdict_store(store);
-    }
-    let summary = campaign.run(&telemetry);
-
-    if let Some(path) = flag_value(args, "--summary-out") {
-        std::fs::write(path, summary.normalized_render()).unwrap_or_else(|e| {
-            eprintln!("cannot write summary file {path}: {e}");
-            exit(1);
-        });
-    }
+    let summary = run_obligations(args, &batch.obligations, config, None);
 
     let report = MutantsReport::from_summary(&batch, &summary, floor);
     print!("{}", report.render_table());
@@ -991,16 +851,13 @@ fn cmd_mutants(args: &[String]) {
         "engine wins: {} bmc, {} kind, {} pdr",
         report.wins_bmc, report.wins_kind, report.wins_pdr
     );
-    if store.is_some() {
+    if args.has("--store") {
         println!(
             "verdict store: {} cache hits, {} cache misses",
             summary.cache_hits, summary.cache_misses
         );
     }
-    std::fs::write(out, report.to_json().render() + "\n").unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
+    write_or_exit(out, &(report.to_json().render() + "\n"));
     eprintln!("report: {out}");
     if summary.exit_code() != 0 {
         exit(summary.exit_code());
@@ -1011,42 +868,22 @@ fn cmd_mutants(args: &[String]) {
     }
 }
 
-fn cmd_serve(args: &[String]) {
-    use gqed::campaign::{serve, ServeOptions, Telemetry};
+fn cmd_serve(args: &Args) {
+    use gqed::campaign::{serve, ServeOptions};
 
-    let interrupt = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let config = campaign_config_from_args(args).with_interrupt(std::sync::Arc::clone(&interrupt));
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
     let mut opts = ServeOptions {
-        config,
-        store: flag_value(args, "--store").map(std::path::PathBuf::from),
-        telemetry,
+        config: campaign_config(args),
+        store: args.value("--store").map(std::path::PathBuf::from),
         ..ServeOptions::default()
     };
-    if let Some(v) = flag_value(args, "--max-request-bytes") {
-        opts.max_request_bytes = v.parse().unwrap_or_else(|_| {
-            eprintln!("--max-request-bytes expects a byte count, got {v}");
-            exit(2);
-        });
+    if let Some(bytes) = args.parsed("--max-request-bytes") {
+        opts.max_request_bytes = bytes;
     }
-    if let Some(v) = flag_value(args, "--read-timeout-ms") {
-        let ms: u64 = v.parse().unwrap_or_else(|_| {
-            eprintln!("--read-timeout-ms expects milliseconds, got {v}");
-            exit(2);
-        });
-        opts.read_timeout = if ms == 0 {
-            None
-        } else {
-            Some(std::time::Duration::from_millis(ms))
-        };
+    if let Some(ms) = args.parsed::<u64>("--read-timeout-ms") {
+        opts.read_timeout = (ms != 0).then(|| std::time::Duration::from_millis(ms));
     }
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7878");
+    opts.telemetry = open_telemetry(args);
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878");
     let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
         eprintln!("cannot bind {addr}: {e}");
         exit(1);
@@ -1056,18 +893,7 @@ fn cmd_serve(args: &[String]) {
         .expect("bound listener has an address");
 
     // Ctrl-C stops the accept loop between connections.
-    #[cfg(unix)]
-    {
-        signals::install();
-        let flag = std::sync::Arc::clone(&interrupt);
-        std::thread::spawn(move || loop {
-            if signals::SHUTDOWN.load(std::sync::atomic::Ordering::Relaxed) {
-                flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
+    opts.config = opts.config.with_interrupt(interrupt_on_signal(false));
 
     println!("gqed serve: listening on {local}");
     match opts.store.as_deref() {
@@ -1090,14 +916,14 @@ fn cmd_serve(args: &[String]) {
     }
 }
 
-fn cmd_submit(args: &[String]) {
+fn cmd_submit(args: &Args) {
     use gqed::campaign::{
         enumerate_obligations, request_shutdown, submit_batch_with_retry, BatchRequest,
-        ObligationSpec, Telemetry,
+        ObligationSpec,
     };
 
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7878");
-    if has_flag(args, "--shutdown") {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878");
+    if args.has("--shutdown") {
         if let Err(e) = request_shutdown(addr) {
             eprintln!("shutdown request failed: {e}");
             exit(1);
@@ -1106,75 +932,30 @@ fn cmd_submit(args: &[String]) {
         return;
     }
 
-    let designs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(
-                    args.get(i.wrapping_sub(1)).map(String::as_str),
-                    Some(
-                        "--addr"
-                            | "--batch"
-                            | "--flow"
-                            | "--jobs"
-                            | "--deadline-ms"
-                            | "--budget"
-                            | "--max-attempts"
-                            | "--engines"
-                            | "--telemetry"
-                            | "--summary-out"
-                            | "--retries"
-                            | "--retry-delay-ms"
-                    )
-                )
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
-    if designs.is_empty() && !has_flag(args, "--all") {
-        eprintln!("usage: gqed submit [<design>…|--all] [--addr host:port] [--batch label]");
-        eprintln!(
-            "                   [--flow gqed,aqed,conv] [--jobs n] [--deadline-ms m] [--budget c]"
-        );
-        eprintln!("                   [--max-attempts n] [--engines bmc,kind,pdr]");
-        eprintln!("                   [--telemetry file] [--summary-out file] [--shutdown]");
-        eprintln!("                   [--retries n] [--retry-delay-ms m]");
-        exit(2);
-    }
-    for name in &designs {
-        find_design(name);
-    }
-
-    let obligations = enumerate_obligations(parse_flows(args), &designs);
-    let specs: Vec<ObligationSpec> = obligations
-        .iter()
-        .filter_map(ObligationSpec::from_obligation)
-        .collect();
+    let obligations = enumerate_obligations(parse_flows(args), args.designs());
     let request = BatchRequest {
-        batch: flag_value(args, "--batch").unwrap_or("batch").to_string(),
-        jobs: parse_flag(args, "--jobs"),
-        deadline_ms: parse_flag(args, "--deadline-ms"),
-        budget: parse_flag(args, "--budget"),
-        max_attempts: parse_flag(args, "--max-attempts"),
-        engines: flag_value(args, "--engines")
+        batch: args.value("--batch").unwrap_or("batch").to_string(),
+        jobs: args.parsed("--jobs"),
+        deadline_ms: args.parsed("--deadline-ms"),
+        budget: args.parsed("--budget"),
+        max_attempts: args.parsed("--max-attempts"),
+        engines: args
+            .value("--engines")
             .map(|list| list.split(',').map(str::to_string).collect()),
-        obligations: specs,
+        obligations: obligations
+            .iter()
+            .filter_map(ObligationSpec::from_obligation)
+            .collect(),
     };
+    let retries: u32 = args.parsed("--retries").unwrap_or(0);
+    let retry_delay =
+        std::time::Duration::from_millis(args.parsed("--retry-delay-ms").unwrap_or(200));
 
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
+    let telemetry = open_telemetry(args);
     eprintln!(
         "submitting {} obligations to {addr}…",
         request.obligations.len()
     );
-    let retries: u32 = parse_flag(args, "--retries").unwrap_or(0);
-    let retry_delay =
-        std::time::Duration::from_millis(parse_flag(args, "--retry-delay-ms").unwrap_or(200));
     let response = match submit_batch_with_retry(addr, &request, retries, retry_delay, |event| {
         telemetry.emit(event)
     }) {
@@ -1186,11 +967,8 @@ fn cmd_submit(args: &[String]) {
     };
     telemetry.sync();
 
-    if let Some(path) = flag_value(args, "--summary-out") {
-        std::fs::write(path, &response.normalized).unwrap_or_else(|e| {
-            eprintln!("cannot write summary file {path}: {e}");
-            exit(1);
-        });
+    if let Some(path) = args.value("--summary-out") {
+        write_or_exit(path, &response.normalized);
     }
     print!("{}", response.normalized);
     println!(
@@ -1214,27 +992,20 @@ fn cmd_submit(args: &[String]) {
     exit(i32::try_from(response.exit_code).unwrap_or(1));
 }
 
-fn cmd_bench(args: &[String]) {
-    use gqed::campaign::{run_bench, Telemetry};
+fn cmd_worker(_: &Args) {
+    exit(gqed::campaign::run_worker());
+}
 
-    let quick = has_flag(args, "--quick");
-    let out = flag_value(args, "--out").unwrap_or("BENCH_pipeline.json");
-    let telemetry = match flag_value(args, "--telemetry") {
-        Some(path) => Telemetry::file(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot open telemetry file {path}: {e}");
-            exit(1);
-        }),
-        None => Telemetry::null(),
-    };
+fn cmd_bench(args: &Args) {
+    let quick = args.has("--quick");
+    let out = args.value("--out").unwrap_or("BENCH_pipeline.json");
+    let telemetry = open_telemetry(args);
     eprintln!(
         "bench: {} suite, cold then warm…",
         if quick { "quick" } else { "full" }
     );
-    let report = run_bench(quick, &telemetry);
-    std::fs::write(out, report.to_json().render() + "\n").unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
+    let report = gqed::campaign::run_bench(quick, &telemetry);
+    write_or_exit(out, &(report.to_json().render() + "\n"));
     for run in [&report.cold, &report.warm] {
         println!(
             "{:4}  {:>8.2?}  {:>6} frames  {:>8.1} frames/s  {:>8} conflicts  {:>9} peak arena B  {} resumes",
@@ -1275,16 +1046,10 @@ fn cmd_bench(args: &[String]) {
     }
 }
 
-fn cmd_productivity(args: &[String]) {
-    let features: u32 = flag_value(args, "--features")
-        .map(|v| v.parse().expect("bad --features"))
-        .unwrap_or(120);
-    let properties: u32 = flag_value(args, "--properties")
-        .map(|v| v.parse().expect("bad --properties"))
-        .unwrap_or(160);
+fn cmd_productivity(args: &Args) {
     let cs = CaseStudy {
-        features,
-        properties,
+        features: args.parsed("--features").unwrap_or(120),
+        properties: args.parsed("--properties").unwrap_or(160),
     };
     let c = ConventionalCosts::default();
     let g = GqedCosts::default();
