@@ -1349,10 +1349,19 @@ fn store_probe(shared: &Shared, index: usize) -> bool {
     };
     // Building a model panics on an unknown design; skip the probe and
     // let the normal attempt path hit the same panic, which the worker
-    // isolates into a Failed verdict.
+    // isolates into a Failed verdict. Warm-start mode reads the
+    // fingerprint memoised beside the cached model; cold mode renders
+    // each fresh build, as its attempts do not share models either.
     let key = match catch_unwind(AssertUnwindSafe(|| {
-        let model = resolve_model(obl, kind, shared.config, &shared.cache);
-        derive_key(model_fingerprint(&model), obl, shared.config)
+        let fingerprint = if shared.config.warm_start {
+            let key = cache_model_key(obl, kind);
+            shared
+                .cache
+                .fingerprint(key, || build_model(&build_design(obl), kind))
+        } else {
+            model_fingerprint(&build_model(&build_design(obl), kind))
+        };
+        derive_key(fingerprint, obl, shared.config)
     })) {
         Ok(key) => key,
         Err(_) => return false,

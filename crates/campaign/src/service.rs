@@ -23,6 +23,20 @@
 //!
 //! Batches are handled sequentially (one campaign at a time); the
 //! parallelism lives *inside* a batch, in the campaign worker pool.
+//!
+//! ## Accept model
+//!
+//! The loop blocks in `accept`, so a client that connects is picked up
+//! at once rather than after a poll interval. Because a blocked `accept`
+//! never looks at the configuration's interrupt flag, a scoped waker
+//! thread watches the flag (every 25 ms) and, once it is raised, opens
+//! one connection to the listener's own address (loopback when bound to
+//! an unspecified IP). The loop re-checks the shutdown and interrupt
+//! flags after every accept and drops that wake connection uncounted.
+//! An interrupt raised while a batch runs stops the loop once the
+//! connection closes. From a signal, the interrupt takes at most about
+//! 50 ms to stop an idle server: the CLI's signal watcher and the waker
+//! each poll every 25 ms.
 
 use crate::api::{self, ApiError, BatchRequest, BatchResponse};
 use crate::json::{parse_json, JsonValue};
@@ -31,10 +45,11 @@ use crate::store::VerdictStore;
 use crate::telemetry::Telemetry;
 use gqed_core::ModelCache;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::Duration;
 
 /// Configuration for a serve loop.
@@ -110,38 +125,59 @@ pub fn serve(listener: TcpListener, opts: &ServeOptions) -> std::io::Result<Serv
         .interrupt
         .clone()
         .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-    // Non-blocking accept so the interrupt flag is polled between
-    // connections; accepted streams are switched back to blocking.
-    listener.set_nonblocking(true)?;
-    let shutdown = AtomicBool::new(false);
-    let mut summary = ServeSummary::default();
-    loop {
-        if shutdown.load(Ordering::Relaxed) || interrupt.load(Ordering::Relaxed) {
-            opts.telemetry.emit(
-                &JsonValue::obj()
-                    .field("type", "serve_summary")
-                    .field("connections", summary.connections)
-                    .field("batches", summary.batches)
-                    .field("connection_errors", summary.connection_errors)
-                    .field("oversize_requests", summary.oversize_requests)
-                    .field("timeouts", summary.timeouts),
-            );
-            opts.telemetry.flush();
-            opts.telemetry.sync();
-            return Ok(summary);
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-                continue;
-            }
-            Err(e) => return Err(e),
+    let mut wake_addr = listener.local_addr()?;
+    if wake_addr.ip().is_unspecified() {
+        wake_addr.set_ip(match wake_addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let done = AtomicBool::new(false);
+    let summary = std::thread::scope(|scope| {
+        let waker = scope.spawn(|| wake_on_interrupt(&interrupt, &done, wake_addr));
+        let _stop = StopWaker {
+            done: &done,
+            waker: waker.thread().clone(),
         };
-        stream.set_nonblocking(false)?;
+        accept_loop(&listener, opts, &store, &model_cache, &interrupt)
+    })?;
+    opts.telemetry.emit(
+        &JsonValue::obj()
+            .field("type", "serve_summary")
+            .field("connections", summary.connections)
+            .field("batches", summary.batches)
+            .field("connection_errors", summary.connection_errors)
+            .field("oversize_requests", summary.oversize_requests)
+            .field("timeouts", summary.timeouts),
+    );
+    opts.telemetry.flush();
+    opts.telemetry.sync();
+    Ok(summary)
+}
+
+/// Accepts and handles connections one at a time until a shutdown
+/// request or the interrupt flag stops the loop.
+fn accept_loop(
+    listener: &TcpListener,
+    opts: &ServeOptions,
+    store: &VerdictStore,
+    model_cache: &Arc<ModelCache>,
+    interrupt: &AtomicBool,
+) -> std::io::Result<ServeSummary> {
+    let shutdown = AtomicBool::new(false);
+    let stopping = || shutdown.load(Ordering::Relaxed) || interrupt.load(Ordering::Relaxed);
+    let mut summary = ServeSummary::default();
+    while !stopping() {
+        let (stream, _peer) = listener.accept()?;
+        if stopping() {
+            // The waker's connection, or a client that raced the
+            // interrupt: either way the loop is done. The waker connects
+            // only after it has read the raised flag, and the kernel's
+            // connect/accept handoff orders that read before this one.
+            break;
+        }
         summary.connections += 1;
-        if let Err(e) =
-            handle_connection(stream, opts, &store, &model_cache, &shutdown, &mut summary)
+        if let Err(e) = handle_connection(stream, opts, store, model_cache, &shutdown, &mut summary)
         {
             // A broken client connection must not take the server down:
             // count it, report it in telemetry, and keep accepting.
@@ -153,6 +189,32 @@ pub fn serve(listener: TcpListener, opts: &ServeOptions) -> std::io::Result<Serv
                     .field("connection_errors", summary.connection_errors),
             );
         }
+    }
+    Ok(summary)
+}
+
+/// Unblocks the accept loop once `interrupt` is raised by connecting to
+/// `addr`, the listener's own address; returns early once `done` is set.
+fn wake_on_interrupt(interrupt: &AtomicBool, done: &AtomicBool, addr: SocketAddr) {
+    while !done.load(Ordering::Relaxed) {
+        if interrupt.load(Ordering::Relaxed) && TcpStream::connect(addr).is_ok() {
+            return;
+        }
+        std::thread::park_timeout(Duration::from_millis(25));
+    }
+}
+
+/// Stops the waker when the accept loop ends, by return or by unwind,
+/// so the thread scope around them can join.
+struct StopWaker<'a> {
+    done: &'a AtomicBool,
+    waker: Thread,
+}
+
+impl Drop for StopWaker<'_> {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::Relaxed);
+        self.waker.unpark();
     }
 }
 
@@ -204,6 +266,7 @@ fn handle_connection(
     summary: &mut ServeSummary,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(opts.read_timeout)?;
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
@@ -309,6 +372,7 @@ pub fn submit_batch(
     mut on_event: impl FnMut(&JsonValue),
 ) -> Result<BatchResponse, ApiError> {
     let stream = TcpStream::connect(addr).map_err(io_error)?;
+    stream.set_nodelay(true).map_err(io_error)?;
     let mut writer = stream.try_clone().map_err(io_error)?;
     send_line(&mut writer, &request.to_json()).map_err(io_error)?;
     let reader = BufReader::new(stream);
@@ -381,6 +445,7 @@ pub fn submit_batch_with_retry(
 /// closes).
 pub fn request_shutdown(addr: &str) -> Result<(), ApiError> {
     let stream = TcpStream::connect(addr).map_err(io_error)?;
+    stream.set_nodelay(true).map_err(io_error)?;
     let mut writer = stream.try_clone().map_err(io_error)?;
     send_line(&mut writer, &api::shutdown_request()).map_err(io_error)?;
     let reader = BufReader::new(stream);
@@ -404,10 +469,12 @@ pub fn request_shutdown(addr: &str) -> Result<(), ApiError> {
     Err(ApiError::new("io", "connection closed before shutdown_ack"))
 }
 
-fn send_line(writer: &mut impl Write, value: &JsonValue) -> std::io::Result<()> {
-    writer.write_all(value.render().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+/// Sends one JSON line in a single write (an unbuffered socket needs no
+/// flush).
+fn send_line(writer: &mut TcpStream, value: &JsonValue) -> std::io::Result<()> {
+    let mut line = value.render();
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 fn io_error(e: std::io::Error) -> ApiError {

@@ -58,17 +58,19 @@ fn resubmitted_campaign_is_fully_cached_at_any_worker_count() {
     drop(store);
 
     // Warm runs: zero obligations re-solved, byte-identical normalized
-    // summary — independent of the worker count.
-    for jobs in [1, 4] {
+    // summary — independent of the worker count, and of whether the probe
+    // reads the model cache's memoised fingerprint (warm start) or renders
+    // a fresh build (cold): both must derive the same store keys.
+    for (jobs, warm_start) in [(1, true), (4, true), (1, false)] {
         let store = VerdictStore::open(&path).unwrap();
         let warm = Campaign::new(&obls)
-            .config(bmc_config(jobs))
+            .config(bmc_config(jobs).with_warm_start(warm_start))
             .verdict_store(&store)
             .run(&Telemetry::null());
         assert_eq!(
             (warm.cache_hits, warm.cache_misses),
             (n, 0),
-            "warm run at {jobs} workers re-solved something"
+            "warm run at {jobs} workers (warm start {warm_start}) re-solved something"
         );
         assert_eq!(
             warm.normalized_render(),
@@ -340,6 +342,48 @@ fn silent_client_is_timed_out_with_a_structured_error() {
     let summary = server.join().unwrap().unwrap();
     assert_eq!(summary.timeouts, 1);
     assert_eq!(summary.connection_errors, 0);
+}
+
+/// Raising the interrupt flag stops an idle server blocked in `accept`:
+/// the waker's connection unblocks it and is not counted as a client.
+#[test]
+fn interrupt_stops_an_idle_server_without_counting_the_wake_connection() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let interrupt = Arc::new(AtomicBool::new(false));
+    let (telemetry, buffer) = Telemetry::buffer();
+    let opts = ServeOptions {
+        config: bmc_config(1).with_interrupt(Arc::clone(&interrupt)),
+        telemetry,
+        ..ServeOptions::default()
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let result = serve(listener, &opts);
+        done_tx.send(()).unwrap();
+        result
+    });
+
+    // Give the loop time to block in `accept`, the path under test. A
+    // flag raised earlier stops it too, through the loop's first check.
+    std::thread::sleep(Duration::from_millis(100));
+    interrupt.store(true, Ordering::Relaxed);
+    done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve must return within 2 s of the interrupt");
+    let summary = server.join().unwrap().unwrap();
+    assert_eq!(summary.connections, 0, "the wake connection was counted");
+    assert!(
+        buffer
+            .lines()
+            .iter()
+            .any(|l| l.contains(r#""type":"serve_summary""#)),
+        "no serve_summary event: {:?}",
+        buffer.lines()
+    );
 }
 
 /// Transport failures retry with an observable backoff schedule;

@@ -19,13 +19,14 @@
 //!   unrolling and every learnt clause intact.
 
 use crate::check::{CheckKind, CheckOutcome, CheckStatus, Verdict};
+use crate::fingerprint::model_fingerprint;
 use crate::wrapper::{synthesize, QedConfig};
 use gqed_bmc::{BmcEngine, BmcLimits, BmcStatus};
 use gqed_ha::Design;
 use gqed_ir::Model;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Builds the fully-preprocessed model that `kind` checks on `design`:
@@ -80,13 +81,18 @@ impl ModelKey {
 /// Thread-safe cache of built models, shared across the obligations (and
 /// racing engine sides) of a verification campaign so wrapper synthesis
 /// and preprocessing happen once per `(design, flow)` rather than once
-/// per attempt.
+/// per attempt. Each model's [`model_fingerprint`] is memoised beside it
+/// on first request, so a warm verdict-store probe renders the model at
+/// most once per cache lifetime.
 #[derive(Default)]
 pub struct ModelCache {
-    entries: Mutex<HashMap<ModelKey, Arc<Model>>>,
+    entries: Mutex<HashMap<ModelKey, CachedModel>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
+
+/// A cached model and its lazily computed [`model_fingerprint`].
+type CachedModel = (Arc<Model>, OnceLock<u64>);
 
 impl ModelCache {
     /// An empty cache.
@@ -99,17 +105,48 @@ impl ModelCache {
     /// slow synthesis never blocks other designs; if two threads race on
     /// the same key the first insert wins and both get the same `Arc`.
     pub fn get_or_build(&self, key: ModelKey, build: impl FnOnce() -> Model) -> Arc<Model> {
+        self.lookup(&key, build).0
+    }
+
+    /// The [`model_fingerprint`] of the model [`ModelCache::get_or_build`]
+    /// returns for `key` (counted as a hit or miss the same way),
+    /// computed on the first request and memoised beside the model. The
+    /// rendering runs outside the cache lock; racing first requests
+    /// compute the same value and the first one stored wins.
+    pub fn fingerprint(&self, key: ModelKey, build: impl FnOnce() -> Model) -> u64 {
+        let (model, memo) = self.lookup(&key, build);
+        if let Some(fp) = memo {
+            return fp;
+        }
+        let fp = model_fingerprint(&model);
+        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let (_, memo) = entries.get(&key).expect("entries are never evicted");
+        *memo.get_or_init(|| fp)
+    }
+
+    /// The cached model for `key` (built and inserted on a miss) and its
+    /// memoised fingerprint, if one was computed yet.
+    fn lookup(&self, key: &ModelKey, build: impl FnOnce() -> Model) -> (Arc<Model>, Option<u64>) {
         {
             let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(m) = entries.get(&key) {
+            if let Some((m, memo)) = entries.get(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(m);
+                return (Arc::clone(m), memo.get().copied());
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(build());
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(entries.entry(key).or_insert(built))
+        let (m, memo) = entries
+            .entry(key.clone())
+            .or_insert((built, OnceLock::new()));
+        (Arc::clone(m), memo.get().copied())
+    }
+
+    #[cfg(test)]
+    fn memoised_fingerprint(&self, key: &ModelKey) -> Option<u64> {
+        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        entries.get(key).and_then(|(_, memo)| memo.get().copied())
     }
 
     /// Whether `key` is already cached (without counting a hit) — used
@@ -347,5 +384,20 @@ mod tests {
         // A different bug variant is a different key.
         let other = ModelKey::new("accum", Some("carry-leak"), CheckKind::GQed);
         assert_ne!(other, ModelKey::new("accum", None, CheckKind::GQed));
+    }
+
+    #[test]
+    fn cache_memoises_the_returned_models_fingerprint() {
+        let d = accum::build(&accum::Params::default(), None);
+        let cache = ModelCache::new();
+        let key = ModelKey::new("accum", None, CheckKind::GQed);
+        let model = cache.get_or_build(key.clone(), || build_model(&d, CheckKind::GQed));
+        assert_eq!(cache.memoised_fingerprint(&key), None, "computed lazily");
+        let fp = cache.fingerprint(key.clone(), || unreachable!());
+        assert_eq!(fp, model_fingerprint(&model));
+        // The second request reads the memo instead of re-rendering.
+        assert_eq!(cache.memoised_fingerprint(&key), Some(fp));
+        assert_eq!(cache.fingerprint(key, || unreachable!()), fp);
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 }

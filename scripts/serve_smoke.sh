@@ -10,6 +10,9 @@
 #    run's miss count, zero misses, `job_cached` telemetry events, and a
 #    byte-identical normalized summary.
 # 4. Shuts the server down over the wire.
+# 5. Starts a second, idle server and sends it SIGINT: it must exit 0
+#    within 2 s, reporting zero connections (signal -> interrupt flag ->
+#    waker -> accept loop, end to end).
 #
 # Usage: scripts/serve_smoke.sh [path-to-gqed-binary]
 set -u
@@ -80,4 +83,29 @@ echo "== shutdown over the wire =="
 "$GQED" submit --shutdown --addr "$ADDR" || { echo "shutdown request failed"; exit 1; }
 wait "$SERVE_PID" || { echo "server exited non-zero"; exit 1; }
 SERVE_PID=
+
+echo "== SIGINT stops an idle server =="
+"$GQED" serve --addr 127.0.0.1:0 --engines bmc \
+  >"$WORK/idle.out" 2>"$WORK/idle.err" &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+  grep -q '^gqed serve: listening on ' "$WORK/idle.out" && break
+  sleep 0.1
+done
+grep -q '^gqed serve: listening on ' "$WORK/idle.out" \
+  || { echo "idle server never reported its address"; cat "$WORK/idle.err"; exit 1; }
+kill -INT "$SERVE_PID"
+for _ in $(seq 1 20); do
+  kill -0 "$SERVE_PID" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$SERVE_PID" 2>/dev/null; then
+  echo "FAIL: idle server still running 2 s after SIGINT"
+  exit 1
+fi
+wait "$SERVE_PID" || { echo "idle server exited non-zero after SIGINT"; cat "$WORK/idle.err"; exit 1; }
+SERVE_PID=
+grep -q 'shut down after 0 connection(s)' "$WORK/idle.err" \
+  || { echo "FAIL: SIGINT shutdown did not report 0 connections"; cat "$WORK/idle.err"; exit 1; }
+echo "OK: SIGINT stopped the idle server"
 echo "OK: serve smoke passed"

@@ -892,7 +892,8 @@ fn cmd_serve(args: &Args) {
         .local_addr()
         .expect("bound listener has an address");
 
-    // Ctrl-C stops the accept loop between connections.
+    // Ctrl-C stops the loop: at once when idle (the serve waker unblocks
+    // `accept`), after the current connection closes otherwise.
     opts.config = opts.config.with_interrupt(interrupt_on_signal(false));
 
     println!("gqed serve: listening on {local}");
