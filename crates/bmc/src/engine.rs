@@ -467,19 +467,14 @@ impl<'a> BmcEngine<'a> {
     /// since the last flush (the Tseitin encoder and constraint encoding
     /// write into `self.cnf` only).
     fn flush_cnf(&mut self) {
-        while self.solver.num_vars() < self.cnf.num_vars() {
-            let _ = self.solver.new_var();
+        let (cnf, solver) = (&self.cnf, &mut self.solver);
+        while solver.num_vars() < cnf.num_vars() {
+            let _ = solver.new_var();
         }
-        let pending: Vec<Vec<i32>> = self
-            .cnf
-            .clauses()
-            .skip(self.synced_clauses)
-            .map(|c| c.to_vec())
-            .collect();
-        self.synced_clauses = self.cnf.num_clauses();
-        for c in pending {
-            self.solver.add_clause(&c);
+        for c in cnf.clauses().skip(self.synced_clauses) {
+            solver.add_clause(c);
         }
+        self.synced_clauses = cnf.num_clauses();
     }
 
     /// Checks *all* `bad` properties at exactly `frame` through a single

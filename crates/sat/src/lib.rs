@@ -15,6 +15,29 @@
 //! The external interface speaks DIMACS conventions: variables are positive
 //! `i32`s, a negative literal is the negation of its variable.
 //!
+//! # Storage
+//!
+//! * **Flat clause arena.** All clauses live in one `Vec` of 4-byte
+//!   words: a 5-word header (length, capacity, flags with tier, use
+//!   credits and LBD, and the `f64` activity) followed inline by the
+//!   literals. A clause reference is the word offset of its header.
+//!   Strengthening and vivification shrink a clause in place; compaction
+//!   slides live clauses down in allocation order and rewrites every
+//!   reference through the relocation map it returns.
+//! * **Watchers** are 8 bytes: the clause offset with a binary-clause tag
+//!   bit, and a blocker literal. Assignments are one `i8` per literal
+//!   code, so a literal's value is a single load.
+//! * **Lazy detach.** Deleting a clause only tombstones it and marks its
+//!   two watch lists dirty. A dirty list is cleaned, keeping the order of
+//!   its live watchers, before propagation walks it and before
+//!   compaction; a tombstone's literals stay readable until then.
+//! * **Order preservation.** The search depends on three orders, and no
+//!   storage change may alter them: the literals within each clause, the
+//!   watchers within each list, and the allocation order of learnt
+//!   clauses that database reduction's stable sort breaks ties by.
+//!   `tests/search_identity.rs` pins the search counters that would move
+//!   if one did.
+//!
 //! # Examples
 //!
 //! ```

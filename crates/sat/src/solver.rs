@@ -74,8 +74,10 @@ pub struct SolverStats {
     pub deleted_clauses: u64,
     /// Number of clause-arena compactions performed.
     pub compactions: u64,
-    /// High-water mark of clause-arena bytes (slot vector + literal
-    /// storage, tombstones included until compaction reclaims them).
+    /// High-water mark of clause-arena bytes: the capacity of the one
+    /// flat arena, 4 bytes per header word or literal slot, tombstones
+    /// and the slack of clauses shrunk in place included until compaction
+    /// reclaims them.
     pub peak_arena_bytes: usize,
     /// Number of emergency learnt-clause purges forced by the memory
     /// limit ([`Solver::set_memory_limit`]).
@@ -104,17 +106,70 @@ pub struct SolverStats {
     pub tier_local: usize,
 }
 
+/// An 8-byte watch-list entry.
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
-    cref: ClauseRef,
+    /// The clause's arena offset, with [`Watcher::BINARY`] set when the
+    /// clause has exactly two literals (inlined fast path).
+    tagged: u32,
     /// A literal of the clause other than the watched one; if it is already
     /// true the clause is satisfied and the watcher need not be inspected.
     /// For binary clauses this is *the* other literal, so propagation
     /// resolves entirely from the watcher without touching the clause
     /// arena (the hottest path in the solver).
     blocker: Lit,
-    /// Whether the clause has exactly two literals (inlined fast path).
-    binary: bool,
+}
+
+impl Watcher {
+    const BINARY: u32 = 1 << 31;
+
+    fn new(r: ClauseRef, blocker: Lit, binary: bool) -> Watcher {
+        debug_assert!(r.0 < Self::BINARY, "clause arena exceeds 2^31 words");
+        Watcher {
+            tagged: r.0 | if binary { Self::BINARY } else { 0 },
+            blocker,
+        }
+    }
+
+    fn cref(self) -> ClauseRef {
+        ClauseRef(self.tagged & !Self::BINARY)
+    }
+
+    fn is_binary(self) -> bool {
+        self.tagged & Self::BINARY != 0
+    }
+}
+
+/// Distinct-level counting by stamping: a level counts once per round,
+/// when its stamp differs from the round's. Sized on demand, since a
+/// level can exceed the variable count (assumption dummy levels).
+#[derive(Clone, Debug, Default)]
+struct LevelStamps {
+    stamp: Vec<u32>,
+    round: u32,
+}
+
+impl LevelStamps {
+    /// Number of distinct decision levels among `lits` (the LBD).
+    fn count(&mut self, level: &[u32], lits: &[Lit]) -> u32 {
+        self.round = self.round.wrapping_add(1);
+        if self.round == 0 {
+            self.stamp.fill(0);
+            self.round = 1;
+        }
+        let mut n = 0;
+        for l in lits {
+            let lv = level[l.var().index()] as usize;
+            if lv >= self.stamp.len() {
+                self.stamp.resize(lv + 1, 0);
+            }
+            if self.stamp[lv] != self.round {
+                self.stamp[lv] = self.round;
+                n += 1;
+            }
+        }
+        n
+    }
 }
 
 /// Record of one bounded-variable-elimination step: the variable and
@@ -142,8 +197,14 @@ pub struct Solver {
     db: ClauseDb,
     /// `watches[l.code()]` — clauses currently watching literal `l`.
     watches: Vec<Vec<Watcher>>,
-    /// Per variable: 0 unassigned, 1 true, -1 false.
-    assigns: Vec<i8>,
+    /// `dirty[l.code()]` — the watch list may hold watchers of deleted
+    /// clauses. Deletion only sets the flag (lazy detach); the list is
+    /// cleaned, order kept, before `propagate` walks it and before
+    /// compaction.
+    dirty: Vec<bool>,
+    /// Per literal code: 0 unassigned, 1 true, -1 false (both polarities
+    /// of a variable are written together).
+    vals: Vec<i8>,
     /// Saved phase for phase-saving polarity selection.
     phase: Vec<bool>,
     level: Vec<u32>,
@@ -156,6 +217,15 @@ pub struct Solver {
     /// Indexed max-heap over variable activities.
     heap: VarHeap,
     seen: Vec<bool>,
+    /// Scratch buffer for clause normalization in `add_lits`.
+    norm: Vec<Lit>,
+    /// Conflict-analysis buffers, reused across conflicts: the learnt
+    /// clause, the variables to unmark, the minimisation stack, and the
+    /// level stamps behind LBD counting.
+    learnt: Vec<Lit>,
+    to_clear: Vec<Var>,
+    min_stack: Vec<ClauseRef>,
+    levels: LevelStamps,
     /// Formula known unsatisfiable at level 0.
     ok: bool,
     model: Vec<i8>,
@@ -176,9 +246,10 @@ pub struct Solver {
     deadline: Option<Instant>,
     /// Clause-arena byte budget, checked during search when set.
     mem_limit: Option<usize>,
-    /// Per variable: currently eliminated by bounded variable elimination
-    /// (no attached clause mentions it; restored on demand).
-    eliminated: Vec<bool>,
+    /// Per variable: index of its elimination record while eliminated by
+    /// bounded variable elimination (no attached clause mentions it;
+    /// restored on demand).
+    elim_record: Vec<Option<u32>>,
     /// Per variable: protected from elimination ([`Solver::freeze`] and
     /// every assumption variable).
     frozen: Vec<bool>,
@@ -204,7 +275,8 @@ impl Solver {
         Solver {
             db: ClauseDb::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            dirty: Vec::new(),
+            vals: Vec::new(),
             phase: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -215,6 +287,11 @@ impl Solver {
             var_inc: 1.0,
             heap: VarHeap::new(),
             seen: Vec::new(),
+            norm: Vec::new(),
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
+            min_stack: Vec::new(),
+            levels: LevelStamps::default(),
             ok: true,
             model: Vec::new(),
             stats: SolverStats::default(),
@@ -226,7 +303,7 @@ impl Solver {
             interrupt: None,
             deadline: None,
             mem_limit: None,
-            eliminated: Vec::new(),
+            elim_record: Vec::new(),
             frozen: Vec::new(),
             elim_records: Vec::new(),
             simplify_pending: 0,
@@ -250,9 +327,7 @@ impl Solver {
         self.ensure_vars(&[l]);
         self.cancel_until(0);
         let v = Lit::from_dimacs(l).var();
-        if self.eliminated[v.index()] {
-            self.restore_var(v);
-        }
+        self.restore_var(v);
         self.frozen[v.index()] = true;
     }
 
@@ -308,8 +383,9 @@ impl Solver {
         self.mem_limit = None;
     }
 
-    /// Bytes currently held by the clause arena (slot vector plus literal
-    /// storage) — the quantity [`Solver::set_memory_limit`] bounds.
+    /// Bytes currently held by the clause arena (the capacity of its one
+    /// flat word vector, tombstones included until compaction) — the
+    /// quantity [`Solver::set_memory_limit`] bounds.
     pub fn arena_bytes(&self) -> usize {
         self.db.arena_bytes()
     }
@@ -328,16 +404,9 @@ impl Solver {
         self.cancel_until(0);
         let mut learnts = std::mem::take(&mut self.reduce_scratch);
         self.db.learnt_refs_into(&mut learnts);
-        let locked = |s: &Self, r: ClauseRef| {
-            let l0 = s.db.get(r).lits[0];
-            s.value_lit(l0) == 1 && s.reason[l0.var().index()] == Some(r)
-        };
-        learnts.retain(|&r| !(self.db.get(r).len() == 2 || locked(self, r)));
+        learnts.retain(|&r| !(self.db.len(r) == 2 || self.locked(r)));
         for &r in &learnts {
-            let lits = self.db.get(r).lits.clone();
-            self.log_delete(&lits);
-            self.detach(r);
-            self.db.delete(r);
+            self.remove_clause(r);
             self.stats.deleted_clauses += 1;
         }
         learnts.clear();
@@ -378,9 +447,9 @@ impl Solver {
         if self.decision_level() == 0 {
             return core;
         }
-        let mut to_clear: Vec<usize> = Vec::new();
+        let mut to_clear = std::mem::take(&mut self.to_clear);
         self.seen[p.var().index()] = true;
-        to_clear.push(p.var().index());
+        to_clear.push(p.var());
         for i in (self.trail_lim[0]..self.trail.len()).rev() {
             let l = self.trail[i];
             let v = l.var().index();
@@ -396,21 +465,20 @@ impl Solver {
                     }
                 }
                 Some(r) => {
-                    let n = self.db.get(r).len();
-                    for k in 1..n {
-                        let q = self.db.get(r).lits[k];
-                        let qv = q.var().index();
-                        if !self.seen[qv] && self.level[qv] > 0 {
-                            self.seen[qv] = true;
+                    for q in &self.db.lits(r)[1..] {
+                        let qv = q.var();
+                        if !self.seen[qv.index()] && self.level[qv.index()] > 0 {
+                            self.seen[qv.index()] = true;
                             to_clear.push(qv);
                         }
                     }
                 }
             }
         }
-        for v in to_clear {
-            self.seen[v] = false;
+        for v in to_clear.drain(..) {
+            self.seen[v.index()] = false;
         }
+        self.to_clear = to_clear;
         core
     }
 
@@ -435,17 +503,40 @@ impl Solver {
         }
     }
 
-    fn log_delete(&mut self, lits: &[Lit]) {
+    /// Logs the deletion of stored clause `r` (its current literals).
+    fn log_delete(&mut self, r: ClauseRef) {
         if let Some(p) = &mut self.proof {
             p.push(ProofStep::Delete(
-                lits.iter().map(|l| l.to_dimacs()).collect(),
+                self.db.lits(r).iter().map(|l| l.to_dimacs()).collect(),
             ));
         }
     }
 
+    /// DRAT-logs the deletion of attached clause `r`, then deletes it.
+    fn remove_clause(&mut self, r: ClauseRef) {
+        self.log_delete(r);
+        self.delete_attached(r);
+    }
+
+    /// Tombstones attached clause `r` and detaches its watchers lazily:
+    /// its two watch lists are only marked dirty.
+    fn delete_attached(&mut self, r: ClauseRef) {
+        let lits = self.db.lits(r);
+        self.dirty[lits[0].code()] = true;
+        self.dirty[lits[1].code()] = true;
+        self.db.delete(r);
+    }
+
+    /// Whether `r` is the reason of a current assignment (it then
+    /// implies its first literal).
+    fn locked(&self, r: ClauseRef) -> bool {
+        let l0 = self.db.lits(r)[0];
+        self.value_lit(l0) == 1 && self.reason[l0.var().index()] == Some(r)
+    }
+
     /// Number of allocated variables.
     pub fn num_vars(&self) -> u32 {
-        self.assigns.len() as u32
+        self.level.len() as u32
     }
 
     /// Number of live clauses (original + learnt).
@@ -467,8 +558,9 @@ impl Solver {
 
     /// Allocates a fresh variable; returns its DIMACS number.
     pub fn new_var(&mut self) -> i32 {
-        let v = self.assigns.len() as u32;
-        self.assigns.push(0);
+        let v = self.num_vars();
+        self.vals.extend([0, 0]);
+        self.dirty.extend([false, false]);
         self.phase.push(false);
         self.level.push(0);
         self.reason.push(None);
@@ -476,7 +568,7 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.eliminated.push(false);
+        self.elim_record.push(None);
         self.frozen.push(false);
         self.heap.grow();
         self.heap.push(v, &self.activity);
@@ -492,12 +584,15 @@ impl Solver {
     }
 
     fn value_lit(&self, l: Lit) -> i8 {
-        let a = self.assigns[l.var().index()];
-        if l.is_neg() {
-            -a
-        } else {
-            a
-        }
+        self.vals[l.code()]
+    }
+
+    fn value_var(&self, v: Var) -> i8 {
+        self.vals[v.pos().code()]
+    }
+
+    fn is_eliminated(&self, v: Var) -> bool {
+        self.elim_record[v.index()].is_some()
     }
 
     fn decision_level(&self) -> u32 {
@@ -518,17 +613,13 @@ impl Solver {
         // so incremental callers never need a freeze discipline for
         // soundness.
         for &l in lits {
-            let v = Lit::from_dimacs(l).var();
-            if self.eliminated[v.index()] {
-                self.restore_var(v);
-                if !self.ok {
-                    return false;
-                }
+            self.restore_var(Lit::from_dimacs(l).var());
+            if !self.ok {
+                return false;
             }
         }
         self.simplify_pending += 1;
-        let ls: Vec<Lit> = lits.iter().map(|&l| Lit::from_dimacs(l)).collect();
-        self.add_lits(&ls, false);
+        self.add_lits(lits.iter().map(|&l| Lit::from_dimacs(l)), false);
         self.ok
     }
 
@@ -540,86 +631,98 @@ impl Solver {
     /// accordingly). With `force_log` the stored clause is DRAT-logged
     /// even when normalization left it unchanged — used for derived
     /// clauses such as BVE resolvents.
-    fn add_lits(&mut self, lits_in: &[Lit], force_log: bool) -> Option<ClauseRef> {
+    fn add_lits(
+        &mut self,
+        lits_in: impl IntoIterator<Item = Lit>,
+        force_log: bool,
+    ) -> Option<ClauseRef> {
         debug_assert_eq!(self.decision_level(), 0);
-        let mut ls: Vec<Lit> = lits_in.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(ls.len());
-        for &l in &ls {
-            if out.last().is_some_and(|&p| p == l.negate()) {
-                return None; // tautology (sorted order puts v, ¬v adjacent)
+        let mut out = std::mem::take(&mut self.norm);
+        out.clear();
+        out.extend(lits_in);
+        let n_in = out.len();
+        let r = if self.normalize(&mut out) {
+            // When proof logging is on and normalization strengthened the
+            // clause, record the stored (stronger) version as a derived
+            // addition so the checker's database matches the solver's.
+            let changed = force_log || out.len() != n_in;
+            if changed {
+                self.log_add(&out);
             }
-            match self.value_lit(l) {
-                1 => return None, // already satisfied at root
-                -1 => continue,   // false at root: drop
-                _ => out.push(l),
-            }
-        }
-        // When proof logging is on and normalization strengthened the
-        // clause, record the stored (stronger) version as a derived
-        // addition so the checker's database matches the solver's.
-        let changed = force_log || out.len() != lits_in.len();
-        match out.len() {
-            0 => {
-                if changed {
-                    self.log_add(&[]);
-                }
-                self.ok = false;
-                None
-            }
-            1 => {
-                if changed {
-                    self.log_add(&[out[0]]);
-                }
-                self.enqueue(out[0], None);
-                if self.propagate().is_some() {
-                    self.log_add(&[]);
+            match out.len() {
+                0 => {
                     self.ok = false;
+                    None
                 }
-                None
-            }
-            _ => {
-                if changed {
-                    self.log_add(&out);
+                1 => {
+                    self.enqueue(out[0], None);
+                    if self.propagate().is_some() {
+                        self.log_add(&[]);
+                        self.ok = false;
+                    }
+                    None
                 }
-                let r = self.db.alloc(out, false, 0);
-                self.attach(r);
-                Some(r)
+                _ => {
+                    let r = self.db.alloc(&out, false, 0);
+                    self.attach(r);
+                    Some(r)
+                }
             }
-        }
+        } else {
+            None
+        };
+        self.norm = out;
+        r
     }
 
-    /// Re-activates an eliminated variable: marks its elimination record
-    /// restored and re-adds every saved original clause, cascading into
-    /// other eliminated variables those clauses mention. The saved
+    /// Sorts and dedupes `ls` and drops its root-false literals, in
+    /// place; false when the clause is a tautology or already satisfied
+    /// at the root (and need not be stored at all).
+    fn normalize(&self, ls: &mut Vec<Lit>) -> bool {
+        ls.sort_unstable();
+        ls.dedup();
+        let mut n = 0;
+        for i in 0..ls.len() {
+            let l = ls[i];
+            if n > 0 && ls[n - 1] == l.negate() {
+                return false; // tautology (sorted order puts v, ¬v adjacent)
+            }
+            match self.value_lit(l) {
+                1 => return false, // already satisfied at root
+                -1 => continue,    // false at root: drop
+                _ => {
+                    ls[n] = l;
+                    n += 1;
+                }
+            }
+        }
+        ls.truncate(n);
+        true
+    }
+
+    /// Re-activates `v` if it is eliminated: marks its elimination
+    /// record restored and re-adds every saved original clause, cascading
+    /// into other eliminated variables those clauses mention. The saved
     /// clauses were never DRAT-deleted, so re-adding logs nothing unless
     /// normalization strengthens them.
     fn restore_var(&mut self, v: Var) {
         debug_assert_eq!(self.decision_level(), 0);
-        let Some(idx) = self
-            .elim_records
-            .iter()
-            .rposition(|r| !r.restored && r.var == v)
-        else {
+        let Some(idx) = self.elim_record[v.index()].take() else {
             return;
         };
-        self.elim_records[idx].restored = true;
-        let clauses = std::mem::take(&mut self.elim_records[idx].clauses);
-        self.eliminated[v.index()] = false;
+        let rec = &mut self.elim_records[idx as usize];
+        rec.restored = true;
+        let clauses = std::mem::take(&mut rec.clauses);
         self.stats.restored_vars += 1;
         self.heap.push(v.0, &self.activity);
         for c in clauses {
             for &l in &c {
-                let u = l.var();
-                if self.eliminated[u.index()] {
-                    self.restore_var(u);
-                    if !self.ok {
-                        return;
-                    }
+                self.restore_var(l.var());
+                if !self.ok {
+                    return;
                 }
             }
-            self.add_lits(&c, false);
+            self.add_lits(c.iter().copied(), false);
             if !self.ok {
                 return;
             }
@@ -667,35 +770,43 @@ impl Solver {
     }
 
     fn attach(&mut self, r: ClauseRef) {
-        let (l0, l1, binary) = {
-            let c = self.db.get(r);
-            (c.lits[0], c.lits[1], c.len() == 2)
-        };
-        self.watches[l0.code()].push(Watcher {
-            cref: r,
-            blocker: l1,
-            binary,
-        });
-        self.watches[l1.code()].push(Watcher {
-            cref: r,
-            blocker: l0,
-            binary,
-        });
+        let lits = self.db.lits(r);
+        let (l0, l1, binary) = (lits[0], lits[1], lits.len() == 2);
+        self.watches[l0.code()].push(Watcher::new(r, l1, binary));
+        self.watches[l1.code()].push(Watcher::new(r, l0, binary));
     }
 
+    /// Eagerly removes the watchers of `r`, which stays stored (it is
+    /// about to be rewritten and re-attached), cleaning both lists of
+    /// deleted clauses' watchers on the way.
     fn detach(&mut self, r: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(r);
-            (c.lits[0], c.lits[1])
-        };
-        self.watches[l0.code()].retain(|w| w.cref != r);
-        self.watches[l1.code()].retain(|w| w.cref != r);
+        let lits = self.db.lits(r);
+        for code in [lits[0].code(), lits[1].code()] {
+            if self.dirty[code] {
+                self.dirty[code] = false;
+                let db = &self.db;
+                self.watches[code].retain(|w| w.cref() != r && !db.is_deleted(w.cref()));
+            } else {
+                self.watches[code].retain(|w| w.cref() != r);
+            }
+        }
+    }
+
+    /// Drops deleted clauses' watchers from list `code`, keeping the
+    /// order of the rest.
+    fn clean_watches(&mut self, code: usize) {
+        if self.dirty[code] {
+            self.dirty[code] = false;
+            let db = &self.db;
+            self.watches[code].retain(|w| !db.is_deleted(w.cref()));
+        }
     }
 
     fn enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value_lit(l), 0);
         let v = l.var().index();
-        self.assigns[v] = if l.is_neg() { -1 } else { 1 };
+        self.vals[l.code()] = 1;
+        self.vals[l.negate().code()] = -1;
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
@@ -709,6 +820,7 @@ impl Solver {
             self.stats.propagations += 1;
             let false_lit = p.negate();
             // Take the watch list for the literal that just became false.
+            self.clean_watches(false_lit.code());
             let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut i = 0;
             let mut kept = 0;
@@ -717,18 +829,20 @@ impl Solver {
                 let w = ws[i];
                 i += 1;
                 // Fast path: blocker already true.
-                if self.value_lit(w.blocker) == 1 {
+                let bv = self.vals[w.blocker.code()];
+                if bv == 1 {
                     ws[kept] = w;
                     kept += 1;
                     continue;
                 }
+                let cref = w.cref();
                 // Binary clauses resolve entirely from the watcher: the
                 // blocker is the only other literal, so the clause arena is
                 // never touched unless we actually propagate or conflict.
-                if w.binary {
+                if w.is_binary() {
                     ws[kept] = w;
                     kept += 1;
-                    if self.value_lit(w.blocker) == -1 {
+                    if bv == -1 {
                         // Conflict: keep remaining watchers and stop.
                         while i < ws.len() {
                             ws[kept] = ws[i];
@@ -736,59 +850,44 @@ impl Solver {
                             i += 1;
                         }
                         self.qhead = self.trail.len();
-                        conflict = Some(w.cref);
+                        conflict = Some(cref);
                         continue;
                     }
                     // Normalize lits[0] to the implied literal so conflict
                     // analysis and locked-clause checks see the invariant.
-                    {
-                        let c = self.db.get_mut(w.cref);
-                        if c.lits[0] != w.blocker {
-                            c.lits.swap(0, 1);
-                        }
+                    let c = self.db.lits_mut(cref);
+                    if c[0] != w.blocker {
+                        c.swap(0, 1);
                     }
-                    self.enqueue(w.blocker, Some(w.cref));
+                    self.enqueue(w.blocker, Some(cref));
                     continue;
                 }
                 // Normalize: put the false literal at position 1.
-                let (first, lits_len) = {
-                    let c = self.db.get_mut(w.cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
-                    (c.lits[0], c.lits.len())
-                };
-                if first != w.blocker && self.value_lit(first) == 1 {
-                    ws[kept] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                        binary: false,
-                    };
+                let c = self.db.lits_mut(cref);
+                if c[0] == false_lit {
+                    c.swap(0, 1);
+                }
+                debug_assert_eq!(c[1], false_lit);
+                let first = c[0];
+                let watcher = Watcher::new(cref, first, false);
+                if first != w.blocker && self.vals[first.code()] == 1 {
+                    ws[kept] = watcher;
                     kept += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..lits_len {
-                    let lk = self.db.get(w.cref).lits[k];
-                    if self.value_lit(lk) != -1 {
-                        self.db.get_mut(w.cref).lits.swap(1, k);
-                        self.watches[lk.code()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                            binary: false,
-                        });
+                for k in 2..c.len() {
+                    let lk = c[k];
+                    if self.vals[lk.code()] != -1 {
+                        c.swap(1, k);
+                        self.watches[lk.code()].push(watcher);
                         continue 'watchers; // watcher moved; not kept here
                     }
                 }
                 // Clause is unit or conflicting.
-                ws[kept] = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                    binary: false,
-                };
+                ws[kept] = watcher;
                 kept += 1;
-                if self.value_lit(first) == -1 {
+                if self.vals[first.code()] == -1 {
                     // Conflict: keep remaining watchers and stop.
                     while i < ws.len() {
                         ws[kept] = ws[i];
@@ -796,9 +895,9 @@ impl Solver {
                         i += 1;
                     }
                     self.qhead = self.trail.len();
-                    conflict = Some(w.cref);
+                    conflict = Some(cref);
                 } else {
-                    self.enqueue(first, Some(w.cref));
+                    self.enqueue(first, Some(cref));
                 }
             }
             ws.truncate(kept);
@@ -823,7 +922,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var().index();
             self.phase[v] = !l.is_neg();
-            self.assigns[v] = 0;
+            self.vals[l.code()] = 0;
+            self.vals[l.negate().code()] = 0;
             self.reason[v] = None;
             self.heap.push(v as u32, &self.activity);
         }
@@ -845,26 +945,29 @@ impl Solver {
         self.heap.increased(v.0, &self.activity);
     }
 
-    /// First-UIP conflict analysis. Returns (learnt clause with asserting
-    /// literal first, backtrack level, LBD).
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = Vec::new();
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt` (asserting literal first, highest-level other literal
+    /// second) and returns (backtrack level, LBD).
+    fn analyze(&mut self, conflict: ClauseRef) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        let mut to_clear = std::mem::take(&mut self.to_clear);
+        learnt.clear();
+        // Placeholder for the asserting literal, known only at the end.
+        learnt.push(Lit(0));
         let mut path_c: u32 = 0;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut confl = conflict;
-        let mut to_clear: Vec<Var> = Vec::new();
         let dl = self.decision_level();
 
         loop {
-            if self.db.get(confl).learnt {
+            if self.db.is_learnt(confl) {
                 self.db.bump_activity(confl);
                 self.bump_clause_use(confl);
             }
             let start = usize::from(p.is_some());
-            let nlits = self.db.get(confl).len();
-            for k in start..nlits {
-                let q = self.db.get(confl).lits[k];
+            for k in start..self.db.len(confl) {
+                let q = self.db.lits(confl)[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -893,44 +996,43 @@ impl Solver {
             }
             confl = self.reason[pl.var().index()].expect("resolved literal has a reason");
         }
-        let asserting = p.expect("analysis produces an asserting literal").negate();
+        learnt[0] = p.expect("analysis produces an asserting literal").negate();
 
         // Recursive clause minimization (MiniSat's litRedundant): a
         // literal is redundant if its entire reason tree bottoms out in
         // literals already marked seen (i.e. already in the clause) or at
-        // level 0.
-        let mut minimized: Vec<Lit> = Vec::with_capacity(learnt.len());
-        for &l in &learnt {
+        // level 0. Survivors compact in place, order kept.
+        let mut n = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
             if !self.lit_redundant(l, &mut to_clear) {
-                minimized.push(l);
+                learnt[n] = l;
+                n += 1;
             }
         }
-        for v in to_clear {
+        learnt.truncate(n);
+        for v in to_clear.drain(..) {
             self.seen[v.index()] = false;
         }
 
-        // Assemble: asserting literal first, highest-level other literal second.
-        let mut clause = Vec::with_capacity(minimized.len() + 1);
-        clause.push(asserting);
-        clause.extend(minimized);
-        let bt_level = if clause.len() == 1 {
+        // Highest-level other literal second.
+        let bt_level = if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
-            for i in 2..clause.len() {
-                if self.level[clause[i].var().index()] > self.level[clause[max_i].var().index()] {
+            for i in 2..learnt.len() {
+                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
                     max_i = i;
                 }
             }
-            clause.swap(1, max_i);
-            self.level[clause[1].var().index()]
+            learnt.swap(1, max_i);
+            self.level[learnt[1].var().index()]
         };
         // LBD: number of distinct decision levels in the clause.
-        let mut levels: Vec<u32> = clause.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
-        (clause, bt_level, lbd)
+        let lbd = self.levels.count(&self.level, &learnt);
+        self.learnt = learnt;
+        self.to_clear = to_clear;
+        (bt_level, lbd)
     }
 
     /// Whether literal `l` (already marked seen) is redundant in the
@@ -944,11 +1046,11 @@ impl Solver {
             return false; // decision literal: never redundant
         };
         let top = to_clear.len();
-        let mut stack: Vec<ClauseRef> = vec![root];
+        let stack = &mut self.min_stack;
+        stack.clear();
+        stack.push(root);
         while let Some(r) = stack.pop() {
-            let n = self.db.get(r).len();
-            for k in 1..n {
-                let q = self.db.get(r).lits[k];
+            for q in &self.db.lits(r)[1..] {
                 let v = q.var();
                 if self.seen[v.index()] || self.level[v.index()] == 0 {
                     continue;
@@ -977,7 +1079,7 @@ impl Solver {
     fn pick_branch_var(&mut self) -> Option<Var> {
         while !self.heap.is_empty() {
             let v = self.heap.pop_max(&self.activity).expect("non-empty");
-            if self.assigns[v as usize] == 0 && !self.eliminated[v as usize] {
+            if self.value_var(Var(v)) == 0 && !self.is_eliminated(Var(v)) {
                 return Some(Var(v));
             }
         }
@@ -988,22 +1090,17 @@ impl Solver {
     /// use credits and recomputes its LBD against the current assignment,
     /// promoting it when the glue improved (anything → core, local → mid).
     fn bump_clause_use(&mut self, r: ClauseRef) {
-        let lbd = {
-            let c = self.db.get(r);
-            let mut levels: Vec<u32> = c.lits.iter().map(|l| self.level[l.var().index()]).collect();
-            levels.sort_unstable();
-            levels.dedup();
-            levels.len() as u32
-        };
-        let c = self.db.get_mut(r);
-        c.used = 2;
-        if lbd < c.lbd {
-            c.lbd = lbd;
-        }
-        if c.lbd <= CORE_LBD_MAX {
-            c.tier = Tier::Core;
-        } else if c.lbd <= MID_LBD_MAX && c.tier == Tier::Local {
-            c.tier = Tier::Mid;
+        let lbd = self
+            .levels
+            .count(&self.level, self.db.lits(r))
+            .min(self.db.lbd(r));
+        let db = &mut self.db;
+        db.set_used(r, 2);
+        db.set_lbd(r, lbd);
+        if lbd <= CORE_LBD_MAX {
+            db.set_tier(r, Tier::Core);
+        } else if lbd <= MID_LBD_MAX && db.tier(r) == Tier::Local {
+            db.set_tier(r, Tier::Mid);
         }
     }
 
@@ -1022,37 +1119,34 @@ impl Solver {
         }
         let mut learnts = std::mem::take(&mut self.reduce_scratch);
         self.db.learnt_refs_into(&mut learnts);
-        // Locked clauses (reasons of current assignments) must stay.
-        let locked = |s: &Self, r: ClauseRef| {
-            let l0 = s.db.get(r).lits[0];
-            s.value_lit(l0) == 1 && s.reason[l0.var().index()] == Some(r)
-        };
         // One pass: spend credits, demote idle mid-tier clauses, and keep
         // only the idle local candidates (compacted into the prefix).
+        // Locked clauses (reasons of current assignments) must stay.
         let mut n_cand = 0;
         for i in 0..learnts.len() {
             let r = learnts[i];
-            if locked(self, r) {
+            if self.locked(r) {
                 continue;
             }
-            let c = self.db.get_mut(r);
-            match c.tier {
+            let db = &mut self.db;
+            let used = db.used(r);
+            match db.tier(r) {
                 Tier::Core => {}
                 Tier::Mid => {
-                    if c.used == 0 {
-                        c.tier = Tier::Local;
-                        if c.len() > 2 {
+                    if used == 0 {
+                        db.set_tier(r, Tier::Local);
+                        if db.len(r) > 2 {
                             learnts[n_cand] = r;
                             n_cand += 1;
                         }
                     } else {
-                        c.used -= 1;
+                        db.set_used(r, used - 1);
                     }
                 }
                 Tier::Local => {
-                    if c.used > 0 {
-                        c.used -= 1;
-                    } else if c.len() > 2 {
+                    if used > 0 {
+                        db.set_used(r, used - 1);
+                    } else if db.len(r) > 2 {
                         learnts[n_cand] = r;
                         n_cand += 1;
                     }
@@ -1062,19 +1156,17 @@ impl Solver {
         learnts.truncate(n_cand);
         // Delete the worse half: high LBD first, then low activity
         // (total_cmp gives a total order even for degenerate floats).
+        // The sort is stable and `learnts` is in allocation order, so
+        // ties fall the same way whatever the arena offsets are.
+        let db = &self.db;
         learnts.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then(ca.activity.total_cmp(&cb.activity))
+            db.lbd(b)
+                .cmp(&db.lbd(a))
+                .then(db.activity(a).total_cmp(&db.activity(b)))
         });
         let n = learnts.len() / 2;
         for &r in &learnts[..n] {
-            let lits = self.db.get(r).lits.clone();
-            self.log_delete(&lits);
-            self.detach(r);
-            self.db.delete(r);
+            self.remove_clause(r);
             self.stats.deleted_clauses += 1;
         }
         learnts.clear();
@@ -1093,19 +1185,21 @@ impl Solver {
     /// also triggered automatically from database reduction.
     pub fn compact(&mut self) {
         self.cancel_until(0);
+        for code in 0..self.watches.len() {
+            self.clean_watches(code);
+        }
         let map = self.db.compact();
-        let remap = |r: ClauseRef| {
-            let n = map[r.0 as usize];
-            debug_assert_ne!(n, u32::MAX, "live ref points at reclaimed slot");
-            ClauseRef(n)
-        };
+        let remap = |r: ClauseRef| map.get(r).expect("live ref points at reclaimed clause");
         for ws in &mut self.watches {
             for w in ws.iter_mut() {
-                w.cref = remap(w.cref);
+                *w = Watcher::new(remap(w.cref()), w.blocker, w.is_binary());
             }
         }
-        for r in self.reason.iter_mut().flatten() {
-            *r = remap(*r);
+        // Only root assignments remain, and a root reason is never
+        // dereferenced; one left pointing at a reclaimed clause becomes
+        // `None` rather than aliasing a relocated clause.
+        for slot in &mut self.reason {
+            *slot = slot.and_then(|r| map.get(r));
         }
         self.stats.compactions += 1;
     }
@@ -1164,9 +1258,7 @@ impl Solver {
         // constraint selectors) sound with inprocessing on.
         for &a in assumptions {
             let v = Lit::from_dimacs(a).var();
-            if self.eliminated[v.index()] {
-                self.restore_var(v);
-            }
+            self.restore_var(v);
             self.frozen[v.index()] = true;
         }
         if !self.ok {
@@ -1234,7 +1326,8 @@ impl Solver {
                         continue;
                     }
                 }
-                let (clause, bt, lbd) = self.analyze(confl);
+                let (bt, lbd) = self.analyze(confl);
+                let clause = std::mem::take(&mut self.learnt);
                 self.log_add(&clause);
                 let l = f64::from(lbd);
                 if ema_initialized {
@@ -1249,11 +1342,11 @@ impl Solver {
                 if clause.len() == 1 {
                     self.enqueue(clause[0], None);
                 } else {
-                    let first = clause[0];
-                    let r = self.db.alloc(clause, true, lbd);
+                    let r = self.db.alloc(&clause, true, lbd);
                     self.attach(r);
-                    self.enqueue(first, Some(r));
+                    self.enqueue(clause[0], Some(r));
                 }
+                self.learnt = clause;
                 self.var_inc /= 0.95;
                 self.db.decay_activity();
                 if self.stats.conflicts >= self.next_reduce {
@@ -1306,7 +1399,8 @@ impl Solver {
                     None => {
                         // Complete assignment: SAT. Extend the model over
                         // eliminated variables before reporting it.
-                        self.model = self.assigns.clone();
+                        self.model.clear();
+                        self.model.extend(self.vals.iter().step_by(2));
                         self.extend_model();
                         return SolveOutcome::Sat;
                     }
@@ -1718,6 +1812,44 @@ mod tests {
         // for correctness too.
         s.compact();
         assert_eq!(run(&mut s), after);
+    }
+
+    #[test]
+    fn lazily_deleted_clause_implies_nothing() {
+        // One binary (inlined watcher path) and one ternary clause; each
+        // is deleted lazily, then its other literals are assigned false.
+        let mut s = Solver::new();
+        let (a, b, c) = (s.new_var(), s.new_var(), s.new_var());
+        s.add_clause(&[a, b]);
+        s.add_clause(&[a, b, c]);
+        let (la, lb, lc) = (
+            Lit::from_dimacs(a),
+            Lit::from_dimacs(b),
+            Lit::from_dimacs(c),
+        );
+        let mut refs = Vec::new();
+        let mut cur = s.db.cursor();
+        while let Some(r) = cur.next(&s.db) {
+            refs.push(r);
+        }
+        for r in refs {
+            s.remove_clause(r);
+        }
+        // Detach is lazy: the watchers are still listed, the lists dirty.
+        assert_eq!(s.watches[la.code()].len(), 2);
+        assert!(s.dirty[la.code()] && s.dirty[lb.code()]);
+        s.new_decision_level();
+        s.enqueue(la.negate(), None);
+        assert_eq!(s.propagate(), None);
+        assert_eq!(s.value_lit(lb), 0, "deleted binary clause implied b");
+        assert!(s.watches[la.code()].is_empty() && !s.dirty[la.code()]);
+        s.new_decision_level();
+        s.enqueue(lb.negate(), None);
+        assert_eq!(s.propagate(), None);
+        assert_eq!(s.value_lit(lc), 0, "deleted ternary clause implied c");
+        s.cancel_until(0);
+        assert_eq!(s.num_clauses(), 0);
+        assert_eq!(s.solve(&[-a, -b]), SatResult::Sat);
     }
 
     #[test]

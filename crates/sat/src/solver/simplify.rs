@@ -64,7 +64,7 @@ impl Solver {
         // Root-level reasons only matter to in-flight conflict analysis;
         // clearing them means no clause is locked while we rewrite the
         // database.
-        self.clear_root_reasons();
+        self.clear_root_reasons(0);
         self.simplify_pending = 0;
         self.stats.simplify_rounds += 1;
         self.remove_satisfied();
@@ -73,7 +73,7 @@ impl Solver {
         }
         let mut budget = STEP_BUDGET;
         let mut occ = self.build_occ();
-        self.subsume_round(&mut occ, &mut budget);
+        self.subsume_round(&occ, &mut budget);
         if !self.ok {
             return;
         }
@@ -87,12 +87,35 @@ impl Solver {
     /// Root assignments need no reason clause (conflict analysis never
     /// resolves on level-0 literals, and `analyze_final` only walks the
     /// trail above the first assumption level), so drop them to unlock
-    /// every clause for deletion and strengthening.
-    fn clear_root_reasons(&mut self) {
+    /// every clause for deletion and strengthening. Entries before
+    /// `from` were cleared already: root reasons are only ever set by
+    /// new root enqueues.
+    fn clear_root_reasons(&mut self, from: usize) {
         debug_assert_eq!(self.decision_level(), 0);
-        for i in 0..self.trail.len() {
+        for i in from..self.trail.len() {
             let v = self.trail[i].var().index();
             self.reason[v] = None;
+        }
+    }
+
+    /// Asserts unit `u` at the root after a clause shrank to it,
+    /// propagating and clearing the new root reasons.
+    fn assert_root_unit(&mut self, u: Lit) {
+        match self.value_lit(u) {
+            1 => {}
+            -1 => {
+                self.log_add(&[]);
+                self.ok = false;
+            }
+            _ => {
+                let from = self.trail.len();
+                self.enqueue(u, None);
+                if self.propagate().is_some() {
+                    self.log_add(&[]);
+                    self.ok = false;
+                }
+                self.clear_root_reasons(from);
+            }
         }
     }
 
@@ -100,16 +123,13 @@ impl Solver {
     /// satisfied at the root and strip root-false literals from the
     /// rest, so the later passes only see unassigned literals.
     fn remove_satisfied(&mut self) {
-        for ci in 0..self.db.num_slots() as u32 {
-            let r = ClauseRef(ci);
-            if self.db.get(r).deleted {
-                continue;
-            }
+        let mut new: Vec<Lit> = Vec::new();
+        let mut cur = self.db.cursor();
+        while let Some(r) = cur.next(&self.db) {
             let (sat, has_false) = {
-                let c = self.db.get(r);
                 let mut sat = false;
                 let mut f = false;
-                for &l in &c.lits {
+                for &l in self.db.lits(r) {
                     match self.value_lit(l) {
                         1 => sat = true,
                         -1 => f = true,
@@ -119,32 +139,24 @@ impl Solver {
                 (sat, f)
             };
             if sat {
-                let lits = self.db.get(r).lits.clone();
-                self.log_delete(&lits);
-                self.detach(r);
-                self.db.delete(r);
+                self.remove_clause(r);
                 self.stats.deleted_clauses += 1;
             } else if has_false {
-                let old = self.db.get(r).lits.clone();
-                let new: Vec<Lit> = old
-                    .iter()
-                    .copied()
-                    .filter(|&l| self.value_lit(l) == 0)
-                    .collect();
+                new.clear();
+                new.extend(
+                    self.db
+                        .lits(r)
+                        .iter()
+                        .copied()
+                        .filter(|&l| self.value_lit(l) == 0),
+                );
                 // At the propagation fixpoint an unsatisfied clause with
                 // one unassigned literal cannot exist.
                 debug_assert!(new.len() >= 2, "root-unit clause survived propagation");
                 self.log_add(&new);
-                self.log_delete(&old);
+                self.log_delete(r);
                 self.detach(r);
-                {
-                    // In-place rewrite preserves the literal Vec's
-                    // capacity, keeping the arena's byte accounting
-                    // consistent with the later delete().
-                    let c = self.db.get_mut(r);
-                    c.lits.clear();
-                    c.lits.extend_from_slice(&new);
-                }
+                self.db.set_lits(r, &new);
                 self.attach(r);
             }
         }
@@ -155,13 +167,12 @@ impl Solver {
     /// later steps); every consumer re-verifies membership.
     fn build_occ(&self) -> Vec<Vec<ClauseRef>> {
         let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); self.watches.len()];
-        for i in 0..self.db.num_slots() as u32 {
-            let r = ClauseRef(i);
-            let c = self.db.get(r);
-            if c.deleted || c.learnt {
+        let mut cur = self.db.cursor();
+        while let Some(r) = cur.next(&self.db) {
+            if self.db.is_learnt(r) {
                 continue;
             }
-            for &l in &c.lits {
+            for &l in self.db.lits(r) {
                 occ[l.code()].push(r);
             }
         }
@@ -175,20 +186,19 @@ impl Solver {
     /// all-hits means C subsumes D (delete D); one flip and the rest
     /// hits means the resolvent of C and D on the flipped variable
     /// subsumes D minus that literal (strengthen D).
-    fn subsume_round(&mut self, occ: &mut [Vec<ClauseRef>], budget: &mut usize) {
+    fn subsume_round(&mut self, occ: &[Vec<ClauseRef>], budget: &mut usize) {
         let mut marks: Vec<i8> = vec![0; self.num_vars() as usize];
-        for ci in 0..self.db.num_slots() as u32 {
+        let mut lits: Vec<Lit> = Vec::new();
+        let mut cur = self.db.cursor();
+        while let Some(c) = cur.next(&self.db) {
             if *budget == 0 || !self.ok {
                 break;
             }
-            let c = ClauseRef(ci);
-            {
-                let cl = self.db.get(c);
-                if cl.deleted || cl.learnt || cl.len() > SUBSUME_LEN_MAX {
-                    continue;
-                }
+            if self.db.is_learnt(c) || self.db.len(c) > SUBSUME_LEN_MAX {
+                continue;
             }
-            let lits: Vec<Lit> = self.db.get(c).lits.clone();
+            lits.clear();
+            lits.extend_from_slice(self.db.lits(c));
             if lits.iter().any(|&l| self.value_lit(l) != 0) {
                 continue;
             }
@@ -200,49 +210,49 @@ impl Solver {
                 .min_by_key(|l| occ[l.code()].len())
                 .expect("clauses are never empty");
             for key in [l_min, l_min.negate()] {
-                let cand = occ[key.code()].clone();
-                for d in cand {
+                for &d in &occ[key.code()] {
                     if d == c || !self.ok {
                         continue;
                     }
-                    let (hits, flip_lit, assigned) = {
-                        let dc = self.db.get(d);
-                        if dc.deleted || dc.len() < lits.len() || !dc.lits.contains(&key) {
+                    if self.db.is_deleted(d) {
+                        continue;
+                    }
+                    let dl = self.db.lits(d);
+                    if dl.len() < lits.len() || !dl.contains(&key) {
+                        continue;
+                    }
+                    *budget = budget.saturating_sub(dl.len());
+                    let mut hits = 0usize;
+                    let mut flips = 0usize;
+                    let mut flip = None;
+                    let mut assigned = false;
+                    for &l in dl {
+                        if self.value_lit(l) != 0 {
+                            assigned = true;
+                        }
+                        let m = marks[l.var().index()];
+                        if m == 0 {
                             continue;
                         }
-                        *budget = budget.saturating_sub(dc.len());
-                        let mut hits = 0usize;
-                        let mut flips = 0usize;
-                        let mut flip = None;
-                        let mut assigned = false;
-                        for &l in &dc.lits {
-                            if self.value_lit(l) != 0 {
-                                assigned = true;
-                            }
-                            let m = marks[l.var().index()];
-                            if m == 0 {
-                                continue;
-                            }
-                            if m == if l.is_neg() { -1 } else { 1 } {
-                                hits += 1;
-                            } else {
-                                flips += 1;
-                                flip = Some(l);
-                            }
+                        if m == if l.is_neg() { -1 } else { 1 } {
+                            hits += 1;
+                        } else {
+                            flips += 1;
+                            flip = Some(l);
                         }
-                        if flips > 1 {
-                            continue;
+                    }
+                    if flips > 1 {
+                        continue;
+                    }
+                    match flip {
+                        None if hits == lits.len() => {
+                            self.remove_clause(d);
+                            self.stats.subsumed_clauses += 1;
                         }
-                        (hits, flip, assigned)
-                    };
-                    if hits == lits.len() && flip_lit.is_none() {
-                        let dl = self.db.get(d).lits.clone();
-                        self.log_delete(&dl);
-                        self.detach(d);
-                        self.db.delete(d);
-                        self.stats.subsumed_clauses += 1;
-                    } else if hits == lits.len() - 1 && flip_lit.is_some() && !assigned {
-                        self.strengthen_clause(d, flip_lit.expect("flip literal recorded"));
+                        Some(l) if hits == lits.len() - 1 && !assigned => {
+                            self.strengthen_clause(d, l);
+                        }
+                        _ => {}
                     }
                 }
             }
@@ -252,156 +262,177 @@ impl Solver {
         }
     }
 
-    /// Removes literal `l` from clause `d` (self-subsuming resolution or
-    /// a vivification step), logging the stronger clause before deleting
-    /// the old one and propagating the unit case at the root.
+    /// Removes literal `l` from clause `d` in place (self-subsuming
+    /// resolution), logging the stronger clause before deleting the old
+    /// one and propagating the unit case at the root.
     fn strengthen_clause(&mut self, d: ClauseRef, l: Lit) {
-        let old = self.db.get(d).lits.clone();
-        let new: Vec<Lit> = old.iter().copied().filter(|&x| x != l).collect();
-        self.log_add(&new);
-        self.log_delete(&old);
-        self.detach(d);
-        {
-            let c = self.db.get_mut(d);
-            c.lits.retain(|&x| x != l); // in place: capacity preserved
+        if self.proof.is_some() {
+            let new: Vec<Lit> = self
+                .db
+                .lits(d)
+                .iter()
+                .copied()
+                .filter(|&x| x != l)
+                .collect();
+            self.log_add(&new);
+            self.log_delete(d);
         }
+        self.detach(d);
+        self.db.remove_lit(d, l);
         self.stats.strengthened_clauses += 1;
-        if new.len() >= 2 {
+        if self.db.len(d) >= 2 {
             self.attach(d);
         } else {
+            let u = self.db.lits(d)[0];
             self.db.delete(d);
-            let u = new[0];
-            match self.value_lit(u) {
-                1 => {}
-                -1 => {
-                    self.log_add(&[]);
-                    self.ok = false;
-                }
-                _ => {
-                    self.enqueue(u, None);
-                    if self.propagate().is_some() {
-                        self.log_add(&[]);
-                        self.ok = false;
-                    }
-                    self.clear_root_reasons();
-                }
-            }
+            self.assert_root_unit(u);
         }
     }
 
-    /// Live original clauses from `occ[l]` that still contain `l`.
-    fn gather_occ(&self, occ: &[Vec<ClauseRef>], l: Lit) -> Vec<ClauseRef> {
-        occ[l.code()]
-            .iter()
-            .copied()
-            .filter(|&r| {
-                let c = self.db.get(r);
-                !c.deleted && !c.learnt && c.lits.contains(&l)
-            })
-            .collect()
-    }
-
-    /// Resolvent of `p` and `n` on `v`, or `None` when tautological.
-    fn resolve(&self, p: ClauseRef, n: ClauseRef, v: Var) -> Option<Vec<Lit>> {
-        let mut out: Vec<Lit> = Vec::new();
-        for &l in &self.db.get(p).lits {
-            if l.var() != v {
-                out.push(l);
-            }
-        }
-        for &l in &self.db.get(n).lits {
-            if l.var() == v {
-                continue;
-            }
-            if out.contains(&l.negate()) {
-                return None;
-            }
-            if !out.contains(&l) {
-                out.push(l);
-            }
-        }
-        Some(out)
+    /// Live original clauses from `occ[l]` that still contain `l`,
+    /// collected into `out` (cleared first).
+    fn gather_occ(&self, occ: &[Vec<ClauseRef>], l: Lit, out: &mut Vec<ClauseRef>) {
+        out.clear();
+        out.extend(occ[l.code()].iter().copied().filter(|&r| {
+            !self.db.is_deleted(r) && !self.db.is_learnt(r) && self.db.lits(r).contains(&l)
+        }));
     }
 
     /// Bounded variable elimination. A variable is a candidate when it
     /// is unassigned, not frozen and occurs at most [`ELIM_OCC_MAX`]
     /// times per polarity; it is eliminated when its non-tautological
     /// resolvents do not outnumber the clauses they replace and none
-    /// exceeds [`RESOLVENT_LEN_MAX`]. The ordering within a commit —
-    /// save originals, detach and delete them, mark eliminated, only
-    /// then add resolvents — guarantees a unit resolvent propagating can
-    /// never re-assign the variable (no attached clause mentions it).
+    /// exceeds [`RESOLVENT_LEN_MAX`]. Resolvents are first only counted
+    /// and measured against a literal mark array; they are built only for
+    /// a committed elimination. The ordering within a commit — save
+    /// originals, detach and delete them, mark eliminated, only then add
+    /// resolvents — guarantees a unit resolvent propagating can never
+    /// re-assign the variable (no attached clause mentions it).
     fn eliminate_round(&mut self, occ: &mut [Vec<ClauseRef>], budget: &mut usize) {
         let nv = self.num_vars() as usize;
         let mut any_elim = false;
+        let (mut pos, mut neg) = (Vec::new(), Vec::new());
+        let mut marks: Vec<bool> = vec![false; 2 * nv];
+        let mut res: Vec<Lit> = Vec::new();
         for vi in 0..nv {
             if *budget == 0 || !self.ok {
                 break;
             }
-            if self.frozen[vi] || self.eliminated[vi] || self.assigns[vi] != 0 {
+            let v = Var(vi as u32);
+            if self.frozen[vi] || self.is_eliminated(v) || self.value_var(v) != 0 {
                 continue;
             }
-            let v = Var(vi as u32);
-            let pos = self.gather_occ(occ, v.pos());
-            let neg = self.gather_occ(occ, v.neg());
+            self.gather_occ(occ, v.pos(), &mut pos);
+            self.gather_occ(occ, v.neg(), &mut neg);
             if pos.len() > ELIM_OCC_MAX || neg.len() > ELIM_OCC_MAX {
                 continue;
             }
             if pos.is_empty() && neg.is_empty() {
                 continue;
             }
-            let limit = pos.len() + neg.len();
-            let mut resolvents: Vec<Vec<Lit>> = Vec::new();
-            let mut admissible = true;
-            'pairs: for &p in &pos {
-                for &n in &neg {
-                    *budget = budget.saturating_sub(self.db.get(p).len() + self.db.get(n).len());
-                    if let Some(res) = self.resolve(p, n, v) {
-                        if res.len() > RESOLVENT_LEN_MAX || resolvents.len() == limit {
-                            admissible = false;
-                            break 'pairs;
-                        }
-                        resolvents.push(res);
-                    }
-                }
-            }
-            if !admissible {
+            if !self.resolvents_fit(v, &pos, &neg, &mut marks, budget) {
                 continue;
             }
             // Commit: save → delete originals (unlogged; see module docs)
             // → mark eliminated → add resolvents.
-            let mut saved: Vec<Vec<Lit>> = Vec::with_capacity(limit);
+            let mut saved: Vec<Vec<Lit>> = Vec::with_capacity(pos.len() + neg.len());
             for &r in pos.iter().chain(neg.iter()) {
-                saved.push(self.db.get(r).lits.clone());
-                self.detach(r);
-                self.db.delete(r);
+                saved.push(self.db.lits(r).to_vec());
+                self.delete_attached(r);
             }
-            self.eliminated[vi] = true;
+            self.elim_record[vi] = Some(self.elim_records.len() as u32);
             self.stats.eliminated_vars += 1;
+            any_elim = true;
+            let (ps, ns) = saved.split_at(pos.len());
+            'resolvents: for p in ps {
+                for n in ns {
+                    if !resolve(p, n, v, &mut res) {
+                        continue;
+                    }
+                    let from = self.trail.len();
+                    if let Some(r) = self.add_lits(res.iter().copied(), true) {
+                        // Register resolvents so later eliminations this
+                        // round see them.
+                        for l in self.db.lits(r) {
+                            occ[l.code()].push(r);
+                        }
+                    }
+                    self.clear_root_reasons(from);
+                    if !self.ok {
+                        break 'resolvents;
+                    }
+                }
+            }
             self.elim_records.push(super::ElimRecord {
                 var: v,
                 clauses: saved,
                 restored: false,
             });
-            any_elim = true;
-            for res in resolvents {
-                if let Some(r) = self.add_lits(&res, true) {
-                    // Register resolvents so later eliminations this
-                    // round see them.
-                    let codes: Vec<usize> = self.db.get(r).lits.iter().map(|l| l.code()).collect();
-                    for code in codes {
-                        occ[code].push(r);
-                    }
-                }
-                self.clear_root_reasons();
-                if !self.ok {
-                    return;
-                }
+            if !self.ok {
+                return;
             }
         }
         if any_elim {
             self.purge_eliminated_learnts();
         }
+    }
+
+    /// Whether eliminating `v` passes the growth cutoff: no more
+    /// non-tautological resolvents of `pos` × `neg` than the clauses
+    /// they replace, none longer than [`RESOLVENT_LEN_MAX`]. Marks each
+    /// positive clause's other literals in `marks` (all false again on
+    /// return) so every pair costs one scan of the negative clause;
+    /// charges both clause lengths per pair examined.
+    fn resolvents_fit(
+        &self,
+        v: Var,
+        pos: &[ClauseRef],
+        neg: &[ClauseRef],
+        marks: &mut [bool],
+        budget: &mut usize,
+    ) -> bool {
+        let limit = pos.len() + neg.len();
+        let mut count = 0;
+        for &p in pos {
+            let pl = self.db.lits(p);
+            for l in pl {
+                marks[l.code()] = l.var() != v;
+            }
+            let mut fit = true;
+            for &n in neg {
+                let nl = self.db.lits(n);
+                *budget = budget.saturating_sub(pl.len() + nl.len());
+                let mut len = pl.len() - 1;
+                let mut tautology = false;
+                for l in nl {
+                    if l.var() == v {
+                        continue;
+                    }
+                    if marks[l.negate().code()] {
+                        tautology = true;
+                        break;
+                    }
+                    if !marks[l.code()] {
+                        len += 1;
+                    }
+                }
+                if tautology {
+                    continue;
+                }
+                if len > RESOLVENT_LEN_MAX || count == limit {
+                    fit = false;
+                    break;
+                }
+                count += 1;
+            }
+            for l in pl {
+                marks[l.code()] = false;
+            }
+            if !fit {
+                return false;
+            }
+        }
+        true
     }
 
     /// Deletes (and DRAT-logs) every learnt clause mentioning an
@@ -413,17 +444,8 @@ impl Solver {
         let mut learnts = std::mem::take(&mut self.reduce_scratch);
         self.db.learnt_refs_into(&mut learnts);
         for &r in &learnts {
-            let mentions = self
-                .db
-                .get(r)
-                .lits
-                .iter()
-                .any(|l| self.eliminated[l.var().index()]);
-            if mentions {
-                let lits = self.db.get(r).lits.clone();
-                self.log_delete(&lits);
-                self.detach(r);
-                self.db.delete(r);
+            if self.db.lits(r).iter().any(|&l| self.is_eliminated(l.var())) {
+                self.remove_clause(r);
                 self.stats.deleted_clauses += 1;
             }
         }
@@ -433,34 +455,41 @@ impl Solver {
 
     /// Vivification sweep over medium-length original clauses.
     fn vivify_round(&mut self, budget: &mut usize) {
-        for ci in 0..self.db.num_slots() as u32 {
+        let (mut old, mut kept) = (Vec::new(), Vec::new());
+        let mut cur = self.db.cursor();
+        while let Some(r) = cur.next(&self.db) {
             if *budget == 0 || !self.ok {
                 break;
             }
-            let r = ClauseRef(ci);
-            {
-                let c = self.db.get(r);
-                if c.deleted || c.learnt || c.len() < VIVIFY_LEN_MIN || c.len() > SUBSUME_LEN_MAX {
-                    continue;
-                }
-            }
-            if self.db.get(r).lits.iter().any(|&l| self.value_lit(l) != 0) {
+            let len = self.db.len(r);
+            if self.db.is_learnt(r) || !(VIVIFY_LEN_MIN..=SUBSUME_LEN_MAX).contains(&len) {
                 continue;
             }
-            self.vivify_clause(r, budget);
+            if self.db.lits(r).iter().any(|&l| self.value_lit(l) != 0) {
+                continue;
+            }
+            old.clear();
+            old.extend_from_slice(self.db.lits(r));
+            self.vivify_clause(r, &old, &mut kept, budget);
         }
     }
 
-    /// Vivifies one clause: detach it, then assume the negation of each
-    /// literal in turn. A conflict proves the assumed prefix is already
-    /// a clause; a literal found true under the prefix closes the clause
-    /// early; a literal found false is redundant and dropped. Any
-    /// shortening replaces the clause (Add-then-Delete in the DRAT log).
-    fn vivify_clause(&mut self, r: ClauseRef, budget: &mut usize) {
-        let old = self.db.get(r).lits.clone();
+    /// Vivifies clause `r` (whose literals are `old`): detach it, then
+    /// assume the negation of each literal in turn. A conflict proves the
+    /// assumed prefix is already a clause; a literal found true under the
+    /// prefix closes the clause early; a literal found false is redundant
+    /// and dropped. Any shortening rewrites the clause in place
+    /// (Add-then-Delete in the DRAT log).
+    fn vivify_clause(
+        &mut self,
+        r: ClauseRef,
+        old: &[Lit],
+        kept: &mut Vec<Lit>,
+        budget: &mut usize,
+    ) {
         self.detach(r);
         let before = self.stats.propagations;
-        let mut kept: Vec<Lit> = Vec::with_capacity(old.len());
+        kept.clear();
         for (i, &l) in old.iter().enumerate() {
             match self.value_lit(l) {
                 1 => {
@@ -487,13 +516,9 @@ impl Solver {
             return;
         }
         self.stats.vivified_clauses += 1;
-        self.log_add(&kept);
-        self.log_delete(&old);
-        {
-            let c = self.db.get_mut(r);
-            c.lits.clear();
-            c.lits.extend_from_slice(&kept); // in place: capacity preserved
-        }
+        self.log_add(kept);
+        self.log_delete(r);
+        self.db.set_lits(r, kept);
         match kept.len() {
             0 => {
                 self.db.delete(r);
@@ -501,24 +526,28 @@ impl Solver {
             }
             1 => {
                 self.db.delete(r);
-                let u = kept[0];
-                match self.value_lit(u) {
-                    1 => {}
-                    -1 => {
-                        self.log_add(&[]);
-                        self.ok = false;
-                    }
-                    _ => {
-                        self.enqueue(u, None);
-                        if self.propagate().is_some() {
-                            self.log_add(&[]);
-                            self.ok = false;
-                        }
-                        self.clear_root_reasons();
-                    }
-                }
+                self.assert_root_unit(kept[0]);
             }
             _ => self.attach(r),
         }
     }
+}
+
+/// Resolvent of clauses `p` and `n` on `v` into `out`, in the order
+/// `p`'s literals then `n`'s new ones; false when tautological.
+fn resolve(p: &[Lit], n: &[Lit], v: Var, out: &mut Vec<Lit>) -> bool {
+    out.clear();
+    out.extend(p.iter().copied().filter(|l| l.var() != v));
+    for &l in n {
+        if l.var() == v {
+            continue;
+        }
+        if out.contains(&l.negate()) {
+            return false;
+        }
+        if !out.contains(&l) {
+            out.push(l);
+        }
+    }
+    true
 }
