@@ -481,27 +481,6 @@ impl<'a> BmcEngine<'a> {
     /// disjunction query (one solver call per frame instead of one per
     /// property); returns a replay-confirmed trace for the property that
     /// fired, if any.
-    pub fn check_any_bad_at(&mut self, frame: u32) -> Option<Trace> {
-        let t0 = Instant::now();
-        let r = self
-            .check_any_bad_at_inner(frame, &BmcLimits::default())
-            .expect("unlimited check cannot stop early");
-        self.wall += t0.elapsed();
-        r
-    }
-
-    /// [`BmcEngine::check_any_bad_at`] under resource limits.
-    pub fn check_any_bad_at_limited(
-        &mut self,
-        frame: u32,
-        limits: &BmcLimits,
-    ) -> Result<Option<Trace>, StopReason> {
-        let t0 = Instant::now();
-        let r = self.check_any_bad_at_inner(frame, limits);
-        self.wall += t0.elapsed();
-        r
-    }
-
     fn check_any_bad_at_inner(
         &mut self,
         frame: u32,

@@ -7,15 +7,13 @@
 //! gives ground truth to compare the engine's verdict against — this
 //! closes the loop across bit-blasting, Tseitin, the SAT solver and trace
 //! extraction at once.
-
-// Opt-in: the proptest dev-dependency is not part of the offline
-// workspace. Re-add `proptest` to this crate's dev-dependencies and build
-// with `RUSTFLAGS="--cfg gqed_proptest"` to run this suite.
-#![cfg(gqed_proptest)]
+//!
+//! Driven by the workspace's deterministic splitmix64 PRNG: a failing
+//! case number reproduces exactly.
 
 use gqed_bmc::{BmcEngine, BmcResult};
 use gqed_ir::{eval_terms, Context, Sim, TermId, TransitionSystem};
-use proptest::prelude::*;
+use gqed_logic::rng::SplitMix64;
 use std::collections::HashMap;
 
 /// A small random sequential design over one input and two state regs.
@@ -82,6 +80,21 @@ fn build_ts(r: &RandomTs) -> (Context, TransitionSystem, TermId) {
     (ctx, ts, inp)
 }
 
+/// A random design: register widths in `2..5`, full-width constants and
+/// operator bytes, and a target in `0..16`.
+fn gen_ts(rng: &mut SplitMix64) -> RandomTs {
+    RandomTs {
+        widths: (2 + rng.below(3) as u32, 2 + rng.below(3) as u32),
+        consts: (rng.next_u128(), rng.next_u128(), rng.next_u128()),
+        ops: (
+            rng.next_u64() as u8,
+            rng.next_u64() as u8,
+            rng.next_u64() as u8,
+        ),
+        target: u128::from(rng.below(16)),
+    }
+}
+
 /// Ground truth: is the bad reachable within `bound` (inclusive) for any
 /// input sequence? Exhaustive over the 2-bit input.
 fn exhaustive_reachable(
@@ -133,30 +146,14 @@ fn exhaustive_reachable(
     None
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(60))]
-
-    /// Cone-of-influence reduction must never change a BMC verdict — even
-    /// on systems with states that are irrelevant to the property.
-    #[test]
-    fn coi_preserves_bmc_verdicts(
-        w1 in 2u32..5,
-        w2 in 2u32..5,
-        c0 in any::<u128>(),
-        c1 in any::<u128>(),
-        c2 in any::<u128>(),
-        o0 in any::<u8>(),
-        o1 in any::<u8>(),
-        o2 in any::<u8>(),
-        target in 0u128..16,
-        bound in 0u32..5,
-    ) {
-        let r = RandomTs {
-            widths: (w1, w2),
-            consts: (c0, c1, c2),
-            ops: (o0, o1, o2),
-            target,
-        };
+/// Cone-of-influence reduction must never change a BMC verdict — even
+/// on systems with states that are irrelevant to the property.
+#[test]
+fn coi_preserves_bmc_verdicts() {
+    let mut rng = SplitMix64::new(0xC01_C01);
+    for case in 0..60 {
+        let r = gen_ts(&mut rng);
+        let bound = rng.below(5) as u32;
         let (mut ctx, mut ts, _inp) = build_ts(&r);
         // Add an unrelated free-running register the property never reads.
         let junk = ctx.state("junk", 6);
@@ -165,50 +162,49 @@ proptest! {
         ts.add_state(junk, Some(z6), jn);
 
         let reduced = ts.cone_of_influence(&ctx);
-        prop_assert!(reduced.states.len() < ts.states.len(), "junk must be pruned");
+        assert!(
+            reduced.states.len() < ts.states.len(),
+            "case {case}: junk must be pruned"
+        );
 
         let mut e1 = BmcEngine::new(&ctx, &ts);
         let mut e2 = BmcEngine::new(&ctx, &reduced);
         let r1 = e1.check_up_to(bound);
         let r2 = e2.check_up_to(bound);
-        prop_assert_eq!(r1.is_violated(), r2.is_violated());
+        assert_eq!(r1.is_violated(), r2.is_violated(), "case {case}: {r:?}");
         if let (Some(t1), Some(t2)) = (r1.trace(), r2.trace()) {
-            prop_assert_eq!(t1.len(), t2.len(), "detection frame must match");
+            assert_eq!(
+                t1.len(),
+                t2.len(),
+                "case {case}: detection frame must match"
+            );
         }
     }
+}
 
-    #[test]
-    fn bmc_agrees_with_exhaustive_search(
-        w1 in 2u32..5,
-        w2 in 2u32..5,
-        c0 in any::<u128>(),
-        c1 in any::<u128>(),
-        c2 in any::<u128>(),
-        o0 in any::<u8>(),
-        o1 in any::<u8>(),
-        o2 in any::<u8>(),
-        target in 0u128..16,
-        bound in 0u32..6,
-    ) {
-        let r = RandomTs {
-            widths: (w1, w2),
-            consts: (c0, c1, c2),
-            ops: (o0, o1, o2),
-            target,
-        };
+#[test]
+fn bmc_agrees_with_exhaustive_search() {
+    let mut rng = SplitMix64::new(0xE4_4A57);
+    for case in 0..60 {
+        let r = gen_ts(&mut rng);
+        let bound = rng.below(6) as u32;
         let (ctx, ts, inp) = build_ts(&r);
         let expected = exhaustive_reachable(&ctx, &ts, inp, bound);
         let mut engine = BmcEngine::new(&ctx, &ts);
         match engine.check_up_to(bound) {
             BmcResult::Violated(trace) => {
-                let first = expected
-                    .unwrap_or_else(|| panic!("BMC found a violation the exhaustive search missed"));
+                let first = expected.unwrap_or_else(|| {
+                    panic!("case {case}: BMC found a violation the exhaustive search missed: {r:?}")
+                });
                 // The engine searches frame by frame, so its trace must hit
                 // the *first* reachable frame.
-                prop_assert_eq!(trace.len() as u32, first + 1);
+                assert_eq!(trace.len() as u32, first + 1, "case {case}: {r:?}");
             }
             BmcResult::NoneUpTo(_) => {
-                prop_assert_eq!(expected, None, "BMC missed a reachable violation");
+                assert_eq!(
+                    expected, None,
+                    "case {case}: BMC missed a reachable violation: {r:?}"
+                );
             }
         }
     }

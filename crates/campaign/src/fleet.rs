@@ -1,21 +1,25 @@
-//! Supervised multi-process worker fleet.
+//! Supervised multi-process worker fleet: the campaign's crash-isolated
+//! dispatch path.
 //!
 //! The in-process runner isolates panicking jobs with `catch_unwind`,
 //! but a `catch_unwind` cannot contain an abort, a stack overflow or the
 //! OS OOM killer — one bad SAT query can still take the whole campaign
-//! (and, in serve mode, the verdict cache) down with it. The fleet moves
-//! each solve into a `gqed worker` *child process*: a supervisor slot
-//! replaces each worker thread, dispatches one obligation at a time to
-//! its child over stdin/stdout (the same line-delimited JSON language as
-//! [`crate::api`]), and watches for three death shapes —
+//! (and, in serve mode, the verdict cache) down with it. With a fleet
+//! attached, each runner worker thread owns a [`Dispatcher`] that sends
+//! wire-representable obligations to a `gqed worker` *child process*
+//! over stdin/stdout (the same line-delimited JSON language as
+//! [`crate::api`]) instead of solving them on the thread. The runner
+//! keeps the queue, the per-obligation state and the settling; this
+//! module only speaks the child protocol and watches for three death
+//! shapes —
 //!
 //! * **exit/signal** — the child's stdout closes and `wait` reports how
 //!   it died;
 //! * **heartbeat loss** — the child goes silent (no output for
 //!   [`FleetConfig::heartbeat_timeout_ms`]) without dying, and the
-//!   supervisor kills it;
+//!   dispatcher kills it;
 //! * **spawn failure** — the worker executable cannot start at all, and
-//!   the slot falls back to solving in-process.
+//!   the runner solves the attempt in-process.
 //!
 //! A crashed child is respawned under capped exponential backoff and its
 //! in-flight obligation is re-dispatched — until the obligation has
@@ -28,17 +32,18 @@
 //! runner would have produced — the normalized summary is byte-identical
 //! at any worker count, including under injected kills
 //! ([`FaultPlan::kill_job`], executed by the child the moment the marked
-//! dispatch arrives, before any solving).
+//! dispatch arrives, before any solving). A child that answers with a
+//! structured `error` line settles the obligation as `failed` at once.
 //!
 //! Obligations with no wire form (synthesized mutants, the test-only
-//! debug kinds) solve in-process on the supervisor thread, exactly as
-//! the plain runner would.
+//! debug kinds) never reach a dispatcher: the runner solves them
+//! in-process, exactly as without a fleet.
 
 use crate::api::{self, ApiError, ObligationSpec, SCHEMA_VERSION};
 use crate::journal::{FaultPlan, KillFault};
 use crate::json::{parse_json, JsonValue};
 use crate::portfolio::EngineId;
-use crate::runner::{self, Campaign, CampaignConfig, JobVerdict, Shared};
+use crate::runner::{Campaign, CampaignConfig, JobVerdict};
 use crate::telemetry::Telemetry;
 use gqed_logic::SplitMix64;
 use std::io::{BufRead, Write};
@@ -171,14 +176,84 @@ pub fn chaos_kill_plan(
     plan
 }
 
-/// How one dispatch to a worker child ended.
-enum DispatchOutcome {
-    /// The child answered with a `work_result` line.
-    Result(JsonValue),
-    /// The child died (exit, signal, or heartbeat loss) with a cause tag.
-    Crash(String),
-    /// The campaign interrupt was raised mid-dispatch.
+/// How [`Dispatcher::dispatch`] left an obligation; the runner settles
+/// it through the same bookkeeping as an in-process solve.
+pub(crate) enum DispatchOutcome {
+    /// A child answered the dispatch with this result.
+    Settled(WorkResult),
+    /// The campaign interrupt was raised while the obligation was in
+    /// flight.
     Cancelled,
+    /// The obligation crashed its worker on every dispatch up to the
+    /// crash budget: quarantine it.
+    Poisoned {
+        /// Worker crashes attributed to the obligation.
+        crashes: u32,
+    },
+    /// No worker child could be spawned: solve this attempt in-process.
+    SpawnFailed,
+}
+
+/// A child's answer to one dispatch: the fields of a `work_result` line,
+/// or a `failed` verdict carrying a structured `error` reply.
+pub(crate) struct WorkResult {
+    pub(crate) verdict: JobVerdict,
+    pub(crate) attempts: u32,
+    pub(crate) engine: &'static str,
+    pub(crate) frames: u64,
+    pub(crate) wall: Duration,
+}
+
+impl WorkResult {
+    fn decode(result: &JsonValue) -> WorkResult {
+        let u64_field = |name: &str| result.get(name).and_then(JsonValue::as_u64);
+        WorkResult {
+            verdict: api::decode_verdict(result).unwrap_or_else(|| JobVerdict::Failed {
+                message: "worker returned an undecodable work_result".to_string(),
+            }),
+            attempts: u64_field("attempts")
+                .and_then(|v| u32::try_from(v).ok())
+                .unwrap_or(1),
+            engine: api::decode_engine(result),
+            frames: u64_field("frames_solved").unwrap_or(0),
+            wall: Duration::from_millis(u64_field("wall_ms").unwrap_or(0)),
+        }
+    }
+
+    /// The `failed` answer to an `error` reply — what the child's own
+    /// [`handle_work_request`] fail path would have sent.
+    fn error(reply: &JsonValue) -> WorkResult {
+        let message = match ApiError::from_json(reply) {
+            Some(e) => format!("worker error {e}"),
+            None => "worker sent a malformed error reply".to_string(),
+        };
+        WorkResult {
+            verdict: JobVerdict::Failed { message },
+            attempts: 1,
+            engine: "-",
+            frames: 0,
+            wall: Duration::ZERO,
+        }
+    }
+}
+
+/// How one round trip with a worker child ended.
+enum RoundTrip {
+    Answered(WorkResult),
+    /// The child died (exit, signal, or heartbeat loss) with a cause tag.
+    Crashed(String),
+    Cancelled,
+}
+
+/// Per-slot fleet counters, summed into the campaign summary.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct FleetTally {
+    /// Worker-process deaths observed.
+    pub(crate) crashes: u64,
+    /// Crashed worker processes respawned after backoff.
+    pub(crate) restarts: u64,
+    /// In-flight obligations re-dispatched after a worker death.
+    pub(crate) requeued: u64,
 }
 
 /// A live worker child: the process, its stdin, and a reader thread
@@ -268,246 +343,186 @@ impl WorkerChild {
     }
 }
 
-/// One supervisor slot: the fleet-mode counterpart of the in-process
-/// worker thread. Shares the queue/preflight/finish machinery with the
-/// plain runner, substituting a child-process dispatch for the in-thread
-/// solve on wire-representable obligations.
-pub(crate) fn fleet_worker(shared: &Shared, fleet: &FleetConfig, slot: usize) {
-    let mut child: Option<WorkerChild> = None;
-    let mut consecutive_crashes: u32 = 0;
-    while let Some((index, attempt)) = runner::next_job(shared) {
-        if runner::preflight(shared, index, attempt) {
-            runner::job_done(shared, None);
-            continue;
+/// One fleet slot of a campaign worker thread: the child process it
+/// dispatches to (spawned lazily, respawned under backoff after a crash)
+/// and the slot's crash tally. Dropping it retires the child.
+pub(crate) struct Dispatcher<'a> {
+    fleet: &'a FleetConfig,
+    config: &'a CampaignConfig,
+    telemetry: &'a Telemetry,
+    cancel: &'a AtomicBool,
+    slot: usize,
+    child: Option<WorkerChild>,
+    consecutive_crashes: u32,
+    pub(crate) tally: FleetTally,
+}
+
+impl<'a> Dispatcher<'a> {
+    pub(crate) fn new(
+        fleet: &'a FleetConfig,
+        config: &'a CampaignConfig,
+        telemetry: &'a Telemetry,
+        cancel: &'a AtomicBool,
+        slot: usize,
+    ) -> Self {
+        Dispatcher {
+            fleet,
+            config,
+            telemetry,
+            cancel,
+            slot,
+            child: None,
+            consecutive_crashes: 0,
+            tally: FleetTally::default(),
         }
-        let obl = &shared.obligations[index];
-        let Some(spec) = ObligationSpec::from_obligation(obl) else {
-            // No wire form (mutant or debug obligation): solve on this
-            // thread exactly as the in-process runner would.
-            let requeue = runner::solve_job(shared, index, attempt);
-            runner::job_done(shared, requeue);
-            continue;
-        };
-        // Dispatch loop: one full obligation solve per dispatch; a crash
-        // re-dispatches in place (the obligation never re-enters the
-        // shared queue, so no other slot can race it) until the crash
-        // budget quarantines it.
+    }
+
+    /// Solves obligation `id` on a worker child, one full obligation
+    /// solve per dispatch. A crash re-dispatches in place — the
+    /// obligation never re-enters the queue, so no other slot can race
+    /// it — until `crashes`, the obligation's campaign-wide crash count,
+    /// reaches the crash budget.
+    pub(crate) fn dispatch(
+        &mut self,
+        id: &str,
+        spec: &ObligationSpec,
+        crashes: &mut u32,
+    ) -> DispatchOutcome {
         loop {
-            if shared.cancel.load(Ordering::Relaxed) {
-                let wall = shared.wall_acc.lock().unwrap_or_else(|e| e.into_inner())[index];
-                let frames = shared.frames_acc.lock().unwrap_or_else(|e| e.into_inner())[index];
-                runner::cancel_job(shared, index, attempt - 1, wall, frames, None);
-                break;
-            }
-            let dispatch = shared
-                .crash_counts
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())[index]
-                + 1;
-            if child.is_none() {
-                if consecutive_crashes > 0 {
-                    std::thread::sleep(Duration::from_millis(backoff_ms(
-                        fleet,
-                        consecutive_crashes,
-                    )));
-                    shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
+            let dispatch = *crashes + 1;
+            if self.child.is_none() {
+                if self.consecutive_crashes > 0 {
+                    let delay = backoff_ms(self.fleet, self.consecutive_crashes);
+                    std::thread::sleep(Duration::from_millis(delay));
+                    self.tally.restarts += 1;
                 }
-                match WorkerChild::spawn(fleet) {
-                    Ok(c) => child = Some(c),
+                match WorkerChild::spawn(self.fleet) {
+                    Ok(c) => self.child = Some(c),
                     Err(e) => {
-                        // The worker executable cannot start: degrade to
-                        // an in-process solve rather than wedging the
-                        // slot (telemetry records the degradation).
-                        shared.telemetry.emit(
+                        // The worker executable cannot start: the runner
+                        // degrades to an in-process solve rather than
+                        // wedging the slot.
+                        self.telemetry.emit(
                             &JsonValue::obj()
                                 .field("type", "worker_spawn_failed")
-                                .field("slot", slot)
-                                .field("job", obl.id.as_str())
+                                .field("slot", self.slot)
+                                .field("job", id)
                                 .field("error", e.to_string()),
                         );
-                        let requeue = runner::solve_job(shared, index, attempt);
-                        if let Some(job) = requeue {
-                            let mut q = shared.queue.lock().unwrap_or_else(|e2| e2.into_inner());
-                            q.pending.push_back(job);
-                        }
-                        break;
+                        return DispatchOutcome::SpawnFailed;
                     }
                 }
             }
-            let c = child.as_mut().expect("child ensured above");
-            shared.telemetry.emit(
+            let c = self.child.as_mut().expect("child ensured above");
+            let pid = c.pid;
+            self.telemetry.emit(
                 &JsonValue::obj()
                     .field("type", "job_dispatch")
-                    .field("job", obl.id.as_str())
-                    .field("slot", slot)
+                    .field("job", id)
+                    .field("slot", self.slot)
                     .field("dispatch", dispatch)
-                    .field("pid", c.pid),
+                    .field("pid", pid),
             );
-            let kill = fleet.faults.kill_for(&obl.id, dispatch);
-            let request = work_request(&spec, shared.config, fleet, dispatch, kill);
-            let outcome = if c.send(&request).is_err() {
+            let kill = self.fleet.faults.kill_for(id, dispatch);
+            let request = work_request(spec, self.config, self.fleet, dispatch, kill);
+            let trip = if c.send(&request).is_err() {
                 // Broken pipe: the child died between dispatches.
-                DispatchOutcome::Crash(c.death_cause())
+                RoundTrip::Crashed(c.death_cause())
             } else {
-                monitor_dispatch(shared, fleet, c)
+                monitor_dispatch(self.fleet, self.cancel, c)
             };
-            match outcome {
-                DispatchOutcome::Result(result) => {
-                    consecutive_crashes = 0;
-                    settle_result(shared, index, &result);
-                    break;
+            let cause = match trip {
+                RoundTrip::Answered(result) => {
+                    self.consecutive_crashes = 0;
+                    return DispatchOutcome::Settled(result);
                 }
-                DispatchOutcome::Cancelled => {
-                    if let Some(mut c) = child.take() {
+                RoundTrip::Cancelled => {
+                    if let Some(mut c) = self.child.take() {
                         c.kill();
                     }
-                    let wall = shared.wall_acc.lock().unwrap_or_else(|e| e.into_inner())[index];
-                    let frames = shared.frames_acc.lock().unwrap_or_else(|e| e.into_inner())[index];
-                    runner::cancel_job(shared, index, attempt, wall, frames, None);
-                    break;
+                    return DispatchOutcome::Cancelled;
                 }
-                DispatchOutcome::Crash(cause) => {
-                    let pid = c.pid;
-                    child = None;
-                    consecutive_crashes += 1;
-                    shared.worker_crashes.fetch_add(1, Ordering::Relaxed);
-                    let crashes = {
-                        let mut counts = shared
-                            .crash_counts
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner());
-                        counts[index] += 1;
-                        counts[index]
-                    };
-                    shared.telemetry.emit(
-                        &JsonValue::obj()
-                            .field("type", "worker_crash")
-                            .field("job", obl.id.as_str())
-                            .field("slot", slot)
-                            .field("pid", pid)
-                            .field("dispatch", dispatch)
-                            .field("cause", cause.as_str())
-                            .field("crashes", crashes),
-                    );
-                    if crashes >= fleet.crash_budget {
-                        // Quarantine: a Poisoned verdict settles the
-                        // obligation without flipping anything — it is
-                        // not conclusive, so the store refuses it and a
-                        // resumed campaign re-runs it.
-                        let wall = shared.wall_acc.lock().unwrap_or_else(|e| e.into_inner())[index];
-                        let frames =
-                            shared.frames_acc.lock().unwrap_or_else(|e| e.into_inner())[index];
-                        runner::finish(
-                            shared,
-                            index,
-                            JobVerdict::Poisoned { crashes },
-                            dispatch,
-                            wall,
-                            "-",
-                            None,
-                            None,
-                            frames,
-                            false,
-                        );
-                        break;
-                    }
-                    shared.requeued.fetch_add(1, Ordering::Relaxed);
-                    shared.telemetry.emit(
-                        &JsonValue::obj()
-                            .field("type", "job_requeued")
-                            .field("job", obl.id.as_str())
-                            .field("slot", slot)
-                            .field("dispatch", dispatch)
-                            .field("crashes", crashes),
-                    );
-                }
+                RoundTrip::Crashed(cause) => cause,
+            };
+            self.child = None;
+            self.consecutive_crashes += 1;
+            self.tally.crashes += 1;
+            *crashes += 1;
+            self.telemetry.emit(
+                &JsonValue::obj()
+                    .field("type", "worker_crash")
+                    .field("job", id)
+                    .field("slot", self.slot)
+                    .field("pid", pid)
+                    .field("dispatch", dispatch)
+                    .field("cause", cause.as_str())
+                    .field("crashes", *crashes),
+            );
+            if *crashes >= self.fleet.crash_budget {
+                return DispatchOutcome::Poisoned { crashes: *crashes };
+            }
+            self.tally.requeued += 1;
+            self.telemetry.emit(
+                &JsonValue::obj()
+                    .field("type", "job_requeued")
+                    .field("job", id)
+                    .field("slot", self.slot)
+                    .field("dispatch", dispatch)
+                    .field("crashes", *crashes),
+            );
+            if self.cancel.load(Ordering::Relaxed) {
+                return DispatchOutcome::Cancelled;
             }
         }
-        runner::job_done(shared, None);
-    }
-    if let Some(mut c) = child.take() {
-        // Idle child at drain time: ask it to exit, then make sure.
-        let _ = c.send(&JsonValue::obj().field("type", "worker_exit"));
-        c.kill();
     }
 }
 
-/// Waits for the in-flight dispatch to end: a `work_result` line, child
-/// death (stdout EOF), heartbeat loss, or a campaign interrupt. Any
-/// child output — heartbeats included — refreshes the silence clock.
-fn monitor_dispatch(shared: &Shared, fleet: &FleetConfig, c: &mut WorkerChild) -> DispatchOutcome {
+impl Drop for Dispatcher<'_> {
+    fn drop(&mut self) {
+        if let Some(mut c) = self.child.take() {
+            // Idle child at drain time: ask it to exit, then make sure.
+            let _ = c.send(&JsonValue::obj().field("type", "worker_exit"));
+            c.kill();
+        }
+    }
+}
+
+/// Waits for the in-flight dispatch to end: a `work_result` or `error`
+/// line, child death (stdout EOF), heartbeat loss, or a campaign
+/// interrupt. Any child output — heartbeats included — refreshes the
+/// silence clock.
+fn monitor_dispatch(fleet: &FleetConfig, cancel: &AtomicBool, c: &mut WorkerChild) -> RoundTrip {
     let timeout = Duration::from_millis(fleet.heartbeat_timeout_ms);
     let mut last_output = Instant::now();
     loop {
-        if shared.cancel.load(Ordering::Relaxed) {
-            return DispatchOutcome::Cancelled;
+        if cancel.load(Ordering::Relaxed) {
+            return RoundTrip::Cancelled;
         }
         match c.rx.recv_timeout(Duration::from_millis(50)) {
             Ok(line) => {
                 last_output = Instant::now();
                 if let Some(v) = parse_json(&line) {
-                    if v.get("type").and_then(JsonValue::as_str) == Some("work_result") {
-                        return DispatchOutcome::Result(v);
+                    match v.get("type").and_then(JsonValue::as_str) {
+                        Some("work_result") => return RoundTrip::Answered(WorkResult::decode(&v)),
+                        // The child rejected the request (schema
+                        // mismatch, unparseable line): it is alive but
+                        // will never answer, so settle now.
+                        Some("error") => return RoundTrip::Answered(WorkResult::error(&v)),
+                        _ => {} // heartbeat / hello: clock refreshed above
                     }
                 }
-                // heartbeat / hello / chatter: clock refreshed above.
             }
             Err(RecvTimeoutError::Timeout) => {
                 if last_output.elapsed() >= timeout {
                     c.kill();
-                    return DispatchOutcome::Crash("heartbeat-loss".to_string());
+                    return RoundTrip::Crashed("heartbeat-loss".to_string());
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {
-                return DispatchOutcome::Crash(c.death_cause());
+                return RoundTrip::Crashed(c.death_cause());
             }
         }
     }
-}
-
-/// Applies a child's `work_result` to the shared campaign state via the
-/// same [`runner::finish`] the in-process worker uses — journal verdict
-/// record, store publication, telemetry, summary record.
-fn settle_result(shared: &Shared, index: usize, result: &JsonValue) {
-    let verdict = api::decode_verdict(result).unwrap_or_else(|| JobVerdict::Failed {
-        message: "worker returned an undecodable work_result".to_string(),
-    });
-    let attempts = result
-        .get("attempts")
-        .and_then(JsonValue::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .unwrap_or(1);
-    let engine = api::decode_engine(result);
-    let frames = result
-        .get("frames_solved")
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0);
-    let wall_ms = result
-        .get("wall_ms")
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0);
-    let total_frames = {
-        let mut acc = shared.frames_acc.lock().unwrap_or_else(|e| e.into_inner());
-        acc[index] += frames;
-        acc[index]
-    };
-    let total_wall = {
-        let mut acc = shared.wall_acc.lock().unwrap_or_else(|e| e.into_inner());
-        acc[index] += Duration::from_millis(wall_ms);
-        acc[index]
-    };
-    runner::finish(
-        shared,
-        index,
-        verdict,
-        attempts,
-        total_wall,
-        engine,
-        None,
-        None,
-        total_frames,
-        false,
-    );
 }
 
 /// The `work_request` line the supervisor sends for one dispatch: the

@@ -176,11 +176,6 @@ impl FaultPlan {
     pub fn kill_for(&self, job: &str, dispatch: u32) -> Option<KillFault> {
         self.kills.get(&(job.to_string(), dispatch)).copied()
     }
-
-    /// Whether the plan contains any worker-kill points.
-    pub fn has_kills(&self) -> bool {
-        !self.kills.is_empty()
-    }
 }
 
 struct JournalInner {

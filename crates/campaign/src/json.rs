@@ -101,11 +101,6 @@ impl JsonValue {
         }
     }
 
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-
     /// Renders the value as compact JSON (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -1,12 +1,22 @@
 //! The parallel campaign runner.
 //!
-//! Obligations go into a shared work queue; `jobs` worker threads drain
-//! it. Each attempt runs under a conflict budget and wall-clock deadline
-//! scaled by the Luby sequence of the attempt number — a timed-out
-//! obligation goes back on the queue with a larger allowance until
-//! `max_attempts` is reached, at which point it is recorded as
-//! `timeout-escalated`. Panicking jobs are isolated with `catch_unwind`
-//! and recorded as `failed`; neither ever takes the campaign down.
+//! Obligations go into a shared work queue; one worker loop per worker
+//! thread drains it. Each attempt runs under a conflict budget and
+//! wall-clock deadline scaled by the Luby sequence of the attempt number
+//! — a timed-out obligation goes back on the queue with a larger
+//! allowance until `max_attempts` is reached, at which point it is
+//! recorded as `timeout-escalated`. Panicking jobs are isolated with
+//! `catch_unwind` and recorded as `failed`; neither ever takes the
+//! campaign down. Everything the campaign knows about one obligation —
+//! accumulated wall-clock and frames, store key, memory degradation,
+//! fleet crash count, kept session, final record — lives in one record
+//! per obligation behind one lock, held only for field updates.
+//!
+//! An attempt is either solved on the worker thread or, when a
+//! [`Campaign::fleet`] is attached and the obligation has a wire form,
+//! handed to the thread's [`crate::fleet`] dispatcher, which runs it in a
+//! crash-isolated worker process and reports back an outcome the loop
+//! settles through the same bookkeeping.
 //!
 //! Clean-design proof obligations run an N-way engine *portfolio*
 //! ([`CampaignConfig::engines`]): bounded BMC, k-induction and IC3/PDR
@@ -36,6 +46,8 @@
 //!   obligations finish as `cancelled` with a journal checkpoint so a
 //!   resumed campaign re-runs exactly them.
 
+use crate::api::ObligationSpec;
+use crate::fleet::{DispatchOutcome, Dispatcher, FleetConfig, FleetTally};
 use crate::journal::{Journal, ReplayedRecord, ResumeState};
 use crate::json::JsonValue;
 use crate::obligation::{Obligation, ObligationKind};
@@ -51,7 +63,7 @@ use gqed_ha::{all_designs, Design};
 use gqed_ir::Model;
 use gqed_pdr::{prove_pdr_limited, PdrOptions, PdrStats, PdrVerdict};
 use gqed_sat::{luby, SolveOutcome, Solver};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -312,7 +324,7 @@ pub struct JobRecord {
 }
 
 /// Aggregated campaign outcome.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CampaignSummary {
     /// Per-obligation records, in obligation order.
     pub records: Vec<JobRecord>,
@@ -438,64 +450,76 @@ enum AttemptResult {
     Stopped(StopReason),
 }
 
-pub(crate) struct QueueState {
-    pub(crate) pending: VecDeque<(usize, u32)>, // (obligation index, attempt number)
-    pub(crate) active: usize,
+struct QueueState {
+    pending: VecDeque<(usize, u32)>, // (obligation index, attempt number)
+    active: usize,
 }
 
-pub(crate) struct Shared<'a> {
-    pub(crate) obligations: &'a [Obligation],
-    pub(crate) config: &'a CampaignConfig,
-    pub(crate) telemetry: &'a Telemetry,
-    pub(crate) queue: Mutex<QueueState>,
-    pub(crate) cv: Condvar,
-    pub(crate) results: Mutex<Vec<Option<JobRecord>>>,
-    pub(crate) wall_acc: Mutex<Vec<Duration>>,
-    /// Per-obligation frames-solved accumulator across attempts.
-    pub(crate) frames_acc: Mutex<Vec<u64>>,
+/// Everything the campaign tracks about one obligation across its
+/// attempts. Only the worker that popped the obligation touches its
+/// state, so the lock around the table is held for field updates only.
+#[derive(Default)]
+struct JobState {
+    /// The settled record, once the obligation has a final verdict.
+    record: Option<JobRecord>,
+    /// Wall-clock across attempts (a cached verdict's stored wall).
+    wall: Duration,
+    /// Per-frame BMC queries solved across attempts.
+    frames: u64,
+    /// Verdict-store key, set by the first attempt's probe on a miss; the
+    /// settled verdict is published under it.
+    store_key: Option<StoreKey>,
+    /// Whether the verdict was served from the verdict store.
+    cached: bool,
+    /// Degraded to cold base-budget retries after a
+    /// [`StopReason::MemoryLimit`] stop.
+    mem_degraded: bool,
+    /// Worker crashes attributed to this obligation (fleet mode): the
+    /// quarantine budget compares against this.
+    crashes: u32,
+    /// Live session of a stopped attempt, kept so the retry resumes
+    /// mid-unrolling.
+    session: Option<CheckSession>,
+}
+
+struct Shared<'a> {
+    obligations: &'a [Obligation],
+    config: &'a CampaignConfig,
+    telemetry: &'a Telemetry,
+    queue: Mutex<QueueState>,
+    cv: Condvar,
+    /// Per-obligation state, indexed like `obligations`.
+    jobs: Mutex<Vec<JobState>>,
     /// Synthesized models shared across obligations (warm-start mode) —
     /// and across batches, when the service supplies a persistent cache.
-    pub(crate) cache: Arc<ModelCache>,
+    cache: Arc<ModelCache>,
     /// Content-addressed verdict store, when one is attached.
-    pub(crate) store: Option<&'a VerdictStore>,
-    /// Per-obligation store key, computed by the first attempt's probe
-    /// and consumed when the settled verdict is published to the store.
-    pub(crate) store_keys: Mutex<Vec<Option<StoreKey>>>,
+    store: Option<&'a VerdictStore>,
     /// Obligations answered from the verdict store this campaign.
-    pub(crate) cache_hits: AtomicU64,
+    cache_hits: AtomicU64,
     /// Obligations that probed the store and missed this campaign.
-    pub(crate) cache_misses: AtomicU64,
-    /// Live sessions of stopped obligations, keyed by obligation index,
-    /// kept across retries so an escalated attempt resumes mid-unrolling.
-    pub(crate) sessions: Mutex<HashMap<usize, CheckSession>>,
+    cache_misses: AtomicU64,
     /// Attempts that resumed a kept session.
-    pub(crate) session_resumes: AtomicU64,
+    session_resumes: AtomicU64,
     /// Write-ahead journal, when the campaign is journaled.
-    pub(crate) journal: Option<&'a Journal>,
+    journal: Option<&'a Journal>,
     /// Journal appends that reported an error (faults are tolerated —
     /// they cost a re-run on resume, never a verdict).
-    pub(crate) journal_faults: AtomicU64,
+    journal_faults: AtomicU64,
     /// Cooperative shutdown flag (always present; shared with
     /// [`CampaignConfig::interrupt`] when the caller supplied one).
-    pub(crate) cancel: Arc<AtomicBool>,
-    /// Obligations degraded to cold base-budget retries after a
-    /// [`StopReason::MemoryLimit`] stop.
-    pub(crate) mem_degraded: Mutex<Vec<bool>>,
-    /// Per-obligation worker-crash counts (fleet mode): the quarantine
-    /// budget compares against this.
-    pub(crate) crash_counts: Mutex<Vec<u32>>,
-    /// Worker-process deaths observed by the fleet supervisor.
-    pub(crate) worker_crashes: AtomicU64,
-    /// Crashed worker processes respawned after backoff.
-    pub(crate) worker_restarts: AtomicU64,
-    /// In-flight obligations re-dispatched after a worker death.
-    pub(crate) requeued: AtomicU64,
+    cancel: Arc<AtomicBool>,
 }
 
 impl Shared<'_> {
+    /// Runs `f` on obligation `index`'s state under the table lock.
+    fn job<R>(&self, index: usize, f: impl FnOnce(&mut JobState) -> R) -> R {
+        f(&mut self.jobs.lock().unwrap_or_else(|e| e.into_inner())[index])
+    }
+
     /// Appends a journal record; errors are counted and reported but
     /// never abort the campaign.
-    pub(crate) fn journal_append(&self, record: &JsonValue, sync: bool) {
+    fn journal_append(&self, record: &JsonValue, sync: bool) {
         if let Some(j) = self.journal {
             if let Err(e) = j.append(record, sync) {
                 self.journal_faults.fetch_add(1, Ordering::Relaxed);
@@ -523,8 +547,9 @@ impl Shared<'_> {
 /// Optional attachments: [`Campaign::journal`] for crash-safe verdict
 /// journaling, [`Campaign::resume`] to replay a prior journal,
 /// [`Campaign::verdict_store`] for content-addressed verdict caching,
-/// and [`Campaign::model_cache`] to share synthesized models across
-/// campaigns (the serve loop keeps one cache for its whole lifetime).
+/// [`Campaign::model_cache`] to share synthesized models across
+/// campaigns (the serve loop keeps one cache for its whole lifetime),
+/// and [`Campaign::fleet`] to solve in crash-isolated worker processes.
 ///
 /// Every obligation ends in exactly one `job_verdict` telemetry event; a
 /// `campaign_summary` event closes the stream.
@@ -535,7 +560,7 @@ pub struct Campaign<'a> {
     resume: Option<&'a ResumeState>,
     store: Option<&'a VerdictStore>,
     model_cache: Option<Arc<ModelCache>>,
-    fleet: Option<crate::fleet::FleetConfig>,
+    fleet: Option<FleetConfig>,
 }
 
 impl<'a> Campaign<'a> {
@@ -597,15 +622,16 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Runs the campaign on a supervised fleet of worker *processes*
-    /// instead of in-process threads: each supervisor slot dispatches
-    /// obligations to a `gqed worker` child over stdin/stdout, restarts
-    /// crashed children and requeues their in-flight obligations, and
-    /// quarantines an obligation as [`JobVerdict::Poisoned`] once it
-    /// exhausts the fleet's per-job crash budget. The normalized summary
-    /// is byte-identical to the in-process runner's at any worker count,
-    /// including under injected worker kills.
-    pub fn fleet(mut self, fleet: crate::fleet::FleetConfig) -> Self {
+    /// Solves on a supervised fleet of worker *processes*: each of
+    /// `fleet.workers` worker threads dispatches wire-representable
+    /// obligations to its own `gqed worker` child over stdin/stdout,
+    /// restarts crashed children and re-dispatches their in-flight
+    /// obligations, and quarantines an obligation as
+    /// [`JobVerdict::Poisoned`] once it exhausts the fleet's per-job
+    /// crash budget. The normalized summary is byte-identical to the
+    /// in-process runner's at any worker count, including under injected
+    /// worker kills.
+    pub fn fleet(mut self, fleet: FleetConfig) -> Self {
         self.fleet = Some(fleet);
         self
     }
@@ -613,241 +639,220 @@ impl<'a> Campaign<'a> {
     /// Runs every obligation to a final verdict and returns the
     /// aggregate.
     pub fn run(&self, telemetry: &Telemetry) -> CampaignSummary {
-        run_campaign_inner(
-            self.obligations,
-            &self.config,
-            telemetry,
-            self.journal,
-            self.resume,
-            self.store,
-            self.model_cache.clone(),
-            self.fleet.as_ref(),
-        )
-    }
-}
+        let t0 = Instant::now();
+        let n = self.obligations.len();
 
-#[allow(clippy::too_many_arguments)]
-fn run_campaign_inner(
-    obligations: &[Obligation],
-    config: &CampaignConfig,
-    telemetry: &Telemetry,
-    journal: Option<&Journal>,
-    resume: Option<&ResumeState>,
-    store: Option<&VerdictStore>,
-    model_cache: Option<Arc<ModelCache>>,
-    fleet: Option<&crate::fleet::FleetConfig>,
-) -> CampaignSummary {
-    let t0 = Instant::now();
-    let n = obligations.len();
-
-    // Replay settled verdicts from the resume state; queue the rest.
-    let mut results: Vec<Option<JobRecord>> = vec![None; n];
-    let mut pending: VecDeque<(usize, u32)> = VecDeque::new();
-    let mut replayed = 0usize;
-    for (i, obl) in obligations.iter().enumerate() {
-        let prior = resume.and_then(|s| s.completed.get(&obl.id));
-        match prior {
-            Some(rr) => {
-                let mismatch = match (obl.expect_violation, rr.verdict.is_conclusive()) {
-                    (Some(expected), true) => rr.verdict.is_violation() != expected,
-                    _ => false,
-                };
-                telemetry.emit(
-                    &JsonValue::obj()
-                        .field("type", "job_replayed")
-                        .field("job", obl.id.as_str())
-                        .field("verdict", rr.verdict.tag())
-                        .field("attempts", rr.attempts)
-                        .field("source", "journal"),
-                );
-                results[i] = Some(JobRecord {
-                    obligation: obl.clone(),
-                    verdict: rr.verdict.clone(),
-                    attempts: rr.attempts,
-                    wall: Duration::from_millis(rr.wall_ms),
-                    engine: rr.engine,
-                    stats: None,
-                    pdr_stats: None,
-                    frames_solved: rr.frames_solved,
-                    mismatch,
-                    cached: false,
-                });
-                replayed += 1;
-            }
-            None => pending.push_back((i, 1)),
+        // Replay settled verdicts from the resume state; queue the rest.
+        let mut jobs: Vec<JobState> = std::iter::repeat_with(JobState::default).take(n).collect();
+        let mut pending: VecDeque<(usize, u32)> = VecDeque::new();
+        let mut replayed = 0usize;
+        for (i, obl) in self.obligations.iter().enumerate() {
+            let Some(rr) = self.resume.and_then(|s| s.completed.get(&obl.id)) else {
+                pending.push_back((i, 1));
+                continue;
+            };
+            telemetry.emit(
+                &JsonValue::obj()
+                    .field("type", "job_replayed")
+                    .field("job", obl.id.as_str())
+                    .field("verdict", rr.verdict.tag())
+                    .field("attempts", rr.attempts)
+                    .field("source", "journal"),
+            );
+            jobs[i].record = Some(JobRecord {
+                obligation: obl.clone(),
+                verdict: rr.verdict.clone(),
+                attempts: rr.attempts,
+                wall: Duration::from_millis(rr.wall_ms),
+                engine: rr.engine,
+                stats: None,
+                pdr_stats: None,
+                frames_solved: rr.frames_solved,
+                mismatch: is_mismatch(obl, &rr.verdict),
+                cached: false,
+            });
+            replayed += 1;
         }
-    }
 
-    let cache = model_cache.unwrap_or_else(|| Arc::new(ModelCache::new()));
-    // The model cache may be shared across batches by the service; the
-    // summary reports this campaign's lookups only.
-    let (encoding_hits_before, encoding_misses_before) = (cache.hits(), cache.misses());
-    let shared = Shared {
-        obligations,
-        config,
-        telemetry,
-        queue: Mutex::new(QueueState { pending, active: 0 }),
-        cv: Condvar::new(),
-        results: Mutex::new(results),
-        wall_acc: Mutex::new(vec![Duration::ZERO; n]),
-        frames_acc: Mutex::new(vec![0; n]),
-        cache,
-        store,
-        store_keys: Mutex::new(vec![None; n]),
-        cache_hits: AtomicU64::new(0),
-        cache_misses: AtomicU64::new(0),
-        sessions: Mutex::new(HashMap::new()),
-        session_resumes: AtomicU64::new(0),
-        journal,
-        journal_faults: AtomicU64::new(0),
-        cancel: config
-            .interrupt
+        let cache = self
+            .model_cache
             .clone()
-            .unwrap_or_else(|| Arc::new(AtomicBool::new(false))),
-        mem_degraded: Mutex::new(vec![false; n]),
-        crash_counts: Mutex::new(vec![0; n]),
-        worker_crashes: AtomicU64::new(0),
-        worker_restarts: AtomicU64::new(0),
-        requeued: AtomicU64::new(0),
-    };
-    if journal.is_some() {
-        let record = match resume {
-            None => JsonValue::obj()
-                .field("type", "campaign_start")
-                .field("version", 1u32)
-                .field("obligations", n)
-                .field("manifest_crc", crate::journal::manifest_crc(obligations)),
-            Some(_) => JsonValue::obj()
-                .field("type", "campaign_resume")
-                .field("skipped", replayed),
+            .unwrap_or_else(|| Arc::new(ModelCache::new()));
+        // The model cache may be shared across batches by the service;
+        // the summary reports this campaign's lookups only.
+        let (encoding_hits_before, encoding_misses_before) = (cache.hits(), cache.misses());
+        let shared = Shared {
+            obligations: self.obligations,
+            config: &self.config,
+            telemetry,
+            queue: Mutex::new(QueueState { pending, active: 0 }),
+            cv: Condvar::new(),
+            jobs: Mutex::new(jobs),
+            cache,
+            store: self.store,
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            session_resumes: AtomicU64::new(0),
+            journal: self.journal,
+            journal_faults: AtomicU64::new(0),
+            cancel: self
+                .config
+                .interrupt
+                .clone()
+                .unwrap_or_else(|| Arc::new(AtomicBool::new(false))),
         };
-        shared.journal_append(&record, true);
-    }
-    let workers = match fleet {
-        Some(f) => f.workers.max(1).min(n.max(1)),
-        None => config.jobs.max(1).min(n.max(1)),
-    };
-    let shared_ref = &shared;
-    std::thread::scope(|s| match fleet {
-        Some(f) => {
-            for slot in 0..workers {
-                s.spawn(move || crate::fleet::fleet_worker(shared_ref, f, slot));
-            }
+        if self.journal.is_some() {
+            let record = match self.resume {
+                None => JsonValue::obj()
+                    .field("type", "campaign_start")
+                    .field("version", 1u32)
+                    .field("obligations", n)
+                    .field(
+                        "manifest_crc",
+                        crate::journal::manifest_crc(self.obligations),
+                    ),
+                Some(_) => JsonValue::obj()
+                    .field("type", "campaign_resume")
+                    .field("skipped", replayed),
+            };
+            shared.journal_append(&record, true);
         }
-        None => {
-            for _ in 0..workers {
-                s.spawn(move || worker(shared_ref));
-            }
+        let workers = match &self.fleet {
+            Some(f) => f.workers,
+            None => self.config.jobs,
         }
-    });
-    let records: Vec<JobRecord> = shared
-        .results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|r| r.expect("every obligation ends in a verdict"))
-        .collect();
+        .max(1)
+        .min(n.max(1));
+        let shared_ref = &shared;
+        let fleet = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|slot| {
+                    let dispatcher = self.fleet.as_ref().map(|f| {
+                        Dispatcher::new(f, &self.config, telemetry, &shared_ref.cancel, slot)
+                    });
+                    s.spawn(move || worker(shared_ref, dispatcher))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| join_side(h.join()))
+                .fold(FleetTally::default(), |a, b| FleetTally {
+                    crashes: a.crashes + b.crashes,
+                    restarts: a.restarts + b.restarts,
+                    requeued: a.requeued + b.requeued,
+                })
+        });
+        let records: Vec<JobRecord> = shared
+            .jobs
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .into_iter()
+            .map(|j| j.record.expect("every obligation ends in a verdict"))
+            .collect();
 
-    let mut summary = CampaignSummary {
-        wall: t0.elapsed(),
-        jobs: workers,
-        violations: 0,
-        passes: 0,
-        unknowns: 0,
-        timeouts: 0,
-        failures: 0,
-        cancelled: 0,
-        poisoned: 0,
-        worker_crashes: shared.worker_crashes.load(Ordering::Relaxed),
-        worker_restarts: shared.worker_restarts.load(Ordering::Relaxed),
-        requeued: shared.requeued.load(Ordering::Relaxed),
-        replayed,
-        mismatches: 0,
-        cache_hits: shared.cache_hits.load(Ordering::Relaxed),
-        cache_misses: shared.cache_misses.load(Ordering::Relaxed),
-        encoding_cache_hits: shared.cache.hits() - encoding_hits_before,
-        encoding_cache_misses: shared.cache.misses() - encoding_misses_before,
-        session_resumes: shared.session_resumes.load(Ordering::Relaxed),
-        frames_solved: records.iter().map(|r| r.frames_solved).sum(),
-        wins_bmc: 0,
-        wins_kind: 0,
-        wins_pdr: 0,
-        records: Vec::new(),
-    };
-    for r in &records {
-        match r.engine {
-            "bmc" => summary.wins_bmc += 1,
-            "kind" => summary.wins_kind += 1,
-            "pdr" => summary.wins_pdr += 1,
-            _ => {}
+        let mut summary = CampaignSummary {
+            wall: t0.elapsed(),
+            jobs: workers,
+            worker_crashes: fleet.crashes,
+            worker_restarts: fleet.restarts,
+            requeued: fleet.requeued,
+            replayed,
+            cache_hits: shared.cache_hits.load(Ordering::Relaxed),
+            cache_misses: shared.cache_misses.load(Ordering::Relaxed),
+            encoding_cache_hits: shared.cache.hits() - encoding_hits_before,
+            encoding_cache_misses: shared.cache.misses() - encoding_misses_before,
+            session_resumes: shared.session_resumes.load(Ordering::Relaxed),
+            frames_solved: records.iter().map(|r| r.frames_solved).sum(),
+            ..CampaignSummary::default()
+        };
+        for r in &records {
+            match r.engine {
+                "bmc" => summary.wins_bmc += 1,
+                "kind" => summary.wins_kind += 1,
+                "pdr" => summary.wins_pdr += 1,
+                _ => {}
+            }
+            match &r.verdict {
+                JobVerdict::Violation { .. } => summary.violations += 1,
+                JobVerdict::Clean { .. } | JobVerdict::Proven { .. } => summary.passes += 1,
+                JobVerdict::Unknown { .. } => summary.unknowns += 1,
+                JobVerdict::TimeoutEscalated { .. } => summary.timeouts += 1,
+                JobVerdict::Failed { .. } => summary.failures += 1,
+                JobVerdict::Cancelled => summary.cancelled += 1,
+                JobVerdict::Poisoned { .. } => summary.poisoned += 1,
+            }
+            if r.mismatch {
+                summary.mismatches += 1;
+            }
         }
-        match &r.verdict {
-            JobVerdict::Violation { .. } => summary.violations += 1,
-            JobVerdict::Clean { .. } | JobVerdict::Proven { .. } => summary.passes += 1,
-            JobVerdict::Unknown { .. } => summary.unknowns += 1,
-            JobVerdict::TimeoutEscalated { .. } => summary.timeouts += 1,
-            JobVerdict::Failed { .. } => summary.failures += 1,
-            JobVerdict::Cancelled => summary.cancelled += 1,
-            JobVerdict::Poisoned { .. } => summary.poisoned += 1,
-        }
-        if r.mismatch {
-            summary.mismatches += 1;
-        }
+        summary.records = records;
+        telemetry.emit(
+            &JsonValue::obj()
+                .field("type", "campaign_summary")
+                .field("obligations", summary.records.len())
+                .field("violations", summary.violations)
+                .field("passes", summary.passes)
+                .field("unknowns", summary.unknowns)
+                .field("timeouts", summary.timeouts)
+                .field("failures", summary.failures)
+                .field("cancelled", summary.cancelled)
+                .field("poisoned", summary.poisoned)
+                .field("worker_crashes", summary.worker_crashes)
+                .field("worker_restarts", summary.worker_restarts)
+                .field("requeued", summary.requeued)
+                .field("replayed", summary.replayed)
+                .field("mismatches", summary.mismatches)
+                .field("cache_hits", summary.cache_hits)
+                .field("cache_misses", summary.cache_misses)
+                .field("jobs", summary.jobs)
+                .field("wall_ms", summary.wall.as_millis() as u64)
+                .field("encoding_cache_hits", summary.encoding_cache_hits)
+                .field("encoding_cache_misses", summary.encoding_cache_misses)
+                .field("session_resumes", summary.session_resumes)
+                .field("frames_solved", summary.frames_solved)
+                .field("wins_bmc", summary.wins_bmc)
+                .field("wins_kind", summary.wins_kind)
+                .field("wins_pdr", summary.wins_pdr)
+                .field(
+                    "journal_faults",
+                    shared.journal_faults.load(Ordering::Relaxed),
+                ),
+        );
+        telemetry.flush();
+        telemetry.sync();
+        summary
     }
-    summary.records = records;
-    telemetry.emit(
-        &JsonValue::obj()
-            .field("type", "campaign_summary")
-            .field("obligations", summary.records.len())
-            .field("violations", summary.violations)
-            .field("passes", summary.passes)
-            .field("unknowns", summary.unknowns)
-            .field("timeouts", summary.timeouts)
-            .field("failures", summary.failures)
-            .field("cancelled", summary.cancelled)
-            .field("poisoned", summary.poisoned)
-            .field("worker_crashes", summary.worker_crashes)
-            .field("worker_restarts", summary.worker_restarts)
-            .field("requeued", summary.requeued)
-            .field("replayed", summary.replayed)
-            .field("mismatches", summary.mismatches)
-            .field("cache_hits", summary.cache_hits)
-            .field("cache_misses", summary.cache_misses)
-            .field("jobs", summary.jobs)
-            .field("wall_ms", summary.wall.as_millis() as u64)
-            .field("encoding_cache_hits", summary.encoding_cache_hits)
-            .field("encoding_cache_misses", summary.encoding_cache_misses)
-            .field("session_resumes", summary.session_resumes)
-            .field("frames_solved", summary.frames_solved)
-            .field("wins_bmc", summary.wins_bmc)
-            .field("wins_kind", summary.wins_kind)
-            .field("wins_pdr", summary.wins_pdr)
-            .field(
-                "journal_faults",
-                shared.journal_faults.load(Ordering::Relaxed),
-            ),
-    );
-    telemetry.flush();
-    telemetry.sync();
-    summary
 }
 
-fn worker(shared: &Shared) {
+/// Whether a conclusive verdict contradicts the obligation's catalogue
+/// ground truth.
+fn is_mismatch(obl: &Obligation, verdict: &JobVerdict) -> bool {
+    match (obl.expect_violation, verdict.is_conclusive()) {
+        (Some(expected), true) => verdict.is_violation() != expected,
+        _ => false,
+    }
+}
+
+/// The campaign worker loop, one per worker thread: pops attempts until
+/// the queue drains, settling each through the pre-solve checks and then
+/// either the fleet `dispatcher` (when attached) or an in-thread solve.
+/// Returns the dispatcher's crash tally.
+fn worker(shared: &Shared, mut dispatcher: Option<Dispatcher>) -> FleetTally {
     while let Some((index, attempt)) = next_job(shared) {
-        if preflight(shared, index, attempt) {
-            job_done(shared, None);
-            continue;
-        }
-        let requeue = solve_job(shared, index, attempt);
+        let requeue = if preflight(shared, index, attempt) {
+            None
+        } else {
+            run_job(shared, dispatcher.as_mut(), index, attempt)
+        };
         job_done(shared, requeue);
     }
+    dispatcher.map(|d| d.tally).unwrap_or_default()
 }
 
 /// Pops the next attempt off the shared queue, or returns `None` when
 /// the queue is drained AND no attempt is in flight (an in-flight
-/// attempt may still re-enqueue its obligation for escalation). The
-/// in-process worker pool and the fleet supervisor slots share this.
-pub(crate) fn next_job(shared: &Shared) -> Option<(usize, u32)> {
+/// attempt may still re-enqueue its obligation for escalation).
+fn next_job(shared: &Shared) -> Option<(usize, u32)> {
     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
     loop {
         if let Some(job) = q.pending.pop_front() {
@@ -864,7 +869,7 @@ pub(crate) fn next_job(shared: &Shared) -> Option<(usize, u32)> {
 
 /// Returns a popped job to the queue bookkeeping: requeues an escalation
 /// attempt (if any) and releases the in-flight slot.
-pub(crate) fn job_done(shared: &Shared, requeue: Option<(usize, u32)>) {
+fn job_done(shared: &Shared, requeue: Option<(usize, u32)>) {
     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(job) = requeue {
         q.pending.push_back(job);
@@ -873,40 +878,76 @@ pub(crate) fn job_done(shared: &Shared, requeue: Option<(usize, u32)>) {
     shared.cv.notify_all();
 }
 
-/// Pre-solve checks shared by the in-process worker and the fleet
-/// supervisor. Returns `true` when the obligation was settled without a
-/// solve: the shutdown drain (queued obligations finish as cancelled
-/// once the interrupt is raised, with a journal checkpoint so a resumed
-/// campaign re-runs them) and the content-addressed store probe (the
-/// first attempt probes before paying for a solve; the key needs the
-/// built model's fingerprint, so synthesis still happens on a hit —
-/// only solving is skipped).
-pub(crate) fn preflight(shared: &Shared, index: usize, attempt: u32) -> bool {
+/// Pre-solve checks. Returns `true` when the obligation was settled
+/// without a solve: the shutdown drain (queued obligations finish as
+/// cancelled once the interrupt is raised, with a journal checkpoint so a
+/// resumed campaign re-runs them) and the content-addressed store probe
+/// (the first attempt probes before paying for a solve; the key needs the
+/// built model's fingerprint, so synthesis still happens on a hit — only
+/// solving is skipped).
+fn preflight(shared: &Shared, index: usize, attempt: u32) -> bool {
     if shared.cancel.load(Ordering::Relaxed) {
-        let total_wall = shared.wall_acc.lock().unwrap_or_else(|e| e.into_inner())[index];
-        let total_frames = shared.frames_acc.lock().unwrap_or_else(|e| e.into_inner())[index];
-        cancel_job(shared, index, attempt - 1, total_wall, total_frames, None);
+        cancel_job(shared, index, attempt - 1, None);
         return true;
     }
-    if attempt == 1 && store_probe(shared, index) {
-        return true;
+    attempt == 1 && store_probe(shared, index)
+}
+
+/// Runs one attempt: on a fleet worker child when a dispatcher is
+/// attached and the obligation has a wire form, in-process otherwise
+/// (and when no child can be spawned). Returns the escalation job to
+/// requeue when the attempt stopped without settling.
+fn run_job(
+    shared: &Shared,
+    dispatcher: Option<&mut Dispatcher>,
+    index: usize,
+    attempt: u32,
+) -> Option<(usize, u32)> {
+    let obl = &shared.obligations[index];
+    let dispatch =
+        dispatcher.and_then(|d| ObligationSpec::from_obligation(obl).map(|spec| (d, spec)));
+    if let Some((d, spec)) = dispatch {
+        let mut crashes = shared.job(index, |j| j.crashes);
+        let outcome = d.dispatch(&obl.id, &spec, &mut crashes);
+        shared.job(index, |j| j.crashes = crashes);
+        match outcome {
+            DispatchOutcome::Settled(r) => {
+                shared.job(index, |j| {
+                    j.wall += r.wall;
+                    j.frames += r.frames;
+                });
+                finish(shared, index, r.verdict, r.attempts, r.engine, None, None);
+                return None;
+            }
+            DispatchOutcome::Cancelled => {
+                cancel_job(shared, index, attempt, None);
+                return None;
+            }
+            // Quarantine: a Poisoned verdict settles the obligation
+            // without flipping anything — it is not conclusive, so the
+            // store refuses it and a resumed campaign re-runs it.
+            DispatchOutcome::Poisoned { crashes } => {
+                let verdict = JobVerdict::Poisoned { crashes };
+                finish(shared, index, verdict, crashes, "-", None, None);
+                return None;
+            }
+            DispatchOutcome::SpawnFailed => {}
+        }
     }
-    false
+    solve_job(shared, index, attempt)
 }
 
 /// Runs one in-process attempt of one obligation to completion: limits
 /// derivation, warm-session resume, the solve itself (panic-isolated),
 /// and verdict/retry bookkeeping. Returns the escalation job to requeue
 /// when the attempt stopped without settling, `None` otherwise.
-pub(crate) fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(usize, u32)> {
+fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(usize, u32)> {
     let obl = &shared.obligations[index];
     // Memory-degraded obligations retry cold at the base budget: the
-    // Luby schedule would grow the clause arena straight back into
-    // the wall it just hit.
-    let degraded = shared
-        .mem_degraded
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())[index];
+    // Luby schedule would grow the clause arena straight back into the
+    // wall it just hit. Warm start resumes the kept session of a
+    // previously stopped attempt (only kept in warm-start mode).
+    let (degraded, mut session_slot) = shared.job(index, |j| (j.mem_degraded, j.session.take()));
     let factor = if degraded {
         1
     } else {
@@ -924,19 +965,7 @@ pub(crate) fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(
         mem_limit: shared.config.mem_limit,
     };
 
-    // Warm start: pull the kept session of a previously stopped
-    // attempt (resumes mid-unrolling), and record what this attempt
-    // reuses before it runs.
     let warm = shared.config.warm_start;
-    let mut session_slot: Option<CheckSession> = if warm {
-        shared
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&index)
-    } else {
-        None
-    };
     let resumed_from_frame = session_slot.as_ref().map(|s| s.resume_frame());
     if resumed_from_frame.is_some() {
         shared.session_resumes.fetch_add(1, Ordering::Relaxed);
@@ -969,23 +998,14 @@ pub(crate) fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(
         )
     }));
     let attempt_wall = t0.elapsed();
-    let total_wall = {
-        let mut acc = shared.wall_acc.lock().unwrap_or_else(|e| e.into_inner());
-        acc[index] += attempt_wall;
-        acc[index]
-    };
-    let add_frames = |frames: u64| {
-        let mut acc = shared.frames_acc.lock().unwrap_or_else(|e| e.into_inner());
-        acc[index] += frames;
-        acc[index]
-    };
+    let frames = outcome.as_ref().map_or(0, |(_, frames)| *frames);
+    shared.job(index, |j| {
+        j.wall += attempt_wall;
+        j.frames += frames;
+    });
 
-    let mut requeue = false;
     match outcome {
-        Ok((AttemptResult::Verdict(verdict, stats, engine, pdr_stats), frames)) => {
-            let stats = stats.map(|b| *b);
-            let pdr_stats = pdr_stats.map(|b| *b);
-            let total_frames = add_frames(frames);
+        Ok((AttemptResult::Verdict(verdict, stats, engine, pdr_stats), _)) => {
             if shared.cancel.load(Ordering::Relaxed)
                 && matches!(verdict, JobVerdict::Unknown { .. })
             {
@@ -995,39 +1015,21 @@ pub(crate) fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(
                 // resumed campaign re-runs it to the same verdict an
                 // uninterrupted run would reach.
                 let frame = session_slot.as_ref().map(|s| s.resume_frame());
-                cancel_job(shared, index, attempt, total_wall, total_frames, frame);
+                cancel_job(shared, index, attempt, frame);
             } else {
-                finish(
-                    shared,
-                    index,
-                    verdict,
-                    attempt,
-                    total_wall,
-                    engine,
-                    stats,
-                    pdr_stats,
-                    total_frames,
-                    false,
-                );
+                let (stats, pdr_stats) = (stats.map(|b| *b), pdr_stats.map(|b| *b));
+                finish(shared, index, verdict, attempt, engine, stats, pdr_stats);
             }
         }
-        Ok((AttemptResult::Stopped(reason), frames)) => {
-            let total_frames = add_frames(frames);
+        Ok((AttemptResult::Stopped(reason), _)) => {
             if shared.cancel.load(Ordering::Relaxed) {
                 let frame = session_slot.as_ref().map(|s| s.resume_frame());
-                cancel_job(shared, index, attempt, total_wall, total_frames, frame);
+                cancel_job(shared, index, attempt, frame);
             } else if attempt < shared.config.max_attempts {
+                // A memory stop sheds the session (its learnt clauses are
+                // the memory) and pins future attempts to the base
+                // budget.
                 let memory_stopped = reason == StopReason::MemoryLimit;
-                if memory_stopped {
-                    // Shed the session (its learnt clauses are the
-                    // memory) and pin future attempts to the base
-                    // budget.
-                    session_slot = None;
-                    shared
-                        .mem_degraded
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())[index] = true;
-                }
                 let next_factor = if memory_stopped || degraded {
                     1
                 } else {
@@ -1064,68 +1066,36 @@ pub(crate) fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(
                 );
                 // Keep the live session: the retry resumes at the
                 // stopped frame with all learnt clauses intact.
-                if warm {
-                    if let Some(s) = session_slot.take() {
-                        shared
-                            .sessions
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .insert(index, s);
-                    }
-                }
-                requeue = true;
+                let kept = if warm && !memory_stopped {
+                    session_slot
+                } else {
+                    None
+                };
+                shared.job(index, |j| {
+                    j.mem_degraded |= memory_stopped;
+                    j.session = kept;
+                });
+                return Some((index, attempt + 1));
             } else {
-                finish(
-                    shared,
-                    index,
-                    JobVerdict::TimeoutEscalated { attempts: attempt },
-                    attempt,
-                    total_wall,
-                    "-",
-                    None,
-                    None,
-                    total_frames,
-                    false,
-                );
+                let verdict = JobVerdict::TimeoutEscalated { attempts: attempt };
+                finish(shared, index, verdict, attempt, "-", None, None);
             }
         }
         Err(payload) => {
-            let message = panic_message(payload.as_ref());
-            let total_frames = add_frames(0);
-            finish(
-                shared,
-                index,
-                JobVerdict::Failed { message },
-                attempt,
-                total_wall,
-                "-",
-                None,
-                None,
-                total_frames,
-                false,
-            );
+            let verdict = JobVerdict::Failed {
+                message: panic_message(payload.as_ref()),
+            };
+            finish(shared, index, verdict, attempt, "-", None, None);
         }
     }
-
-    if requeue {
-        Some((index, attempt + 1))
-    } else {
-        None
-    }
+    None
 }
 
 /// Finishes an obligation as [`JobVerdict::Cancelled`] and writes a
 /// journal *checkpoint* record (not a verdict — a resumed campaign must
 /// re-run cancelled obligations, and [`ResumeState`] only skips settled
 /// verdicts).
-pub(crate) fn cancel_job(
-    shared: &Shared,
-    index: usize,
-    attempts: u32,
-    wall: Duration,
-    frames: u64,
-    frame: Option<u32>,
-) {
+fn cancel_job(shared: &Shared, index: usize, attempts: u32, frame: Option<u32>) {
     let obl = &shared.obligations[index];
     shared.journal_append(
         &JsonValue::obj()
@@ -1139,12 +1109,9 @@ pub(crate) fn cancel_job(
         index,
         JobVerdict::Cancelled,
         attempts,
-        wall,
         "-",
         None,
         None,
-        frames,
-        false,
     );
 }
 
@@ -1173,24 +1140,23 @@ fn stop_tag(reason: StopReason) -> &'static str {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish(
+/// Settles obligation `index`: the `job_verdict` telemetry event, the
+/// fsync'd journal verdict record, the verdict-store publication and the
+/// summary record. Wall-clock, frames solved and the store key come from
+/// the obligation's [`JobState`].
+fn finish(
     shared: &Shared,
     index: usize,
     verdict: JobVerdict,
     attempts: u32,
-    wall: Duration,
     engine: &'static str,
     stats: Option<BmcStats>,
     pdr_stats: Option<PdrStats>,
-    frames_solved: u64,
-    cached: bool,
 ) {
     let obl = &shared.obligations[index];
-    let mismatch = match (obl.expect_violation, verdict.is_conclusive()) {
-        (Some(expected), true) => verdict.is_violation() != expected,
-        _ => false,
-    };
+    let (wall, frames_solved, store_key, cached) =
+        shared.job(index, |j| (j.wall, j.frames, j.store_key, j.cached));
+    let mismatch = is_mismatch(obl, &verdict);
     let mut ev = JsonValue::obj()
         .field("type", "job_verdict")
         .field("job", obl.id.as_str())
@@ -1255,26 +1221,21 @@ pub(crate) fn finish(
     );
     shared.journal_append(&jrec, true);
 
-    // Publish a freshly solved verdict to the verdict store (a cached one
-    // came from there; re-putting it would be a no-op append). The store
+    // Publish a freshly solved verdict to the verdict store (only a store
+    // miss leaves a key; a cached verdict came from there). The store
     // itself refuses non-conclusive verdicts. Store faults are tolerated
     // exactly like journal faults: they cost a future re-solve, never a
     // verdict.
-    if !cached {
-        if let (Some(store), Some(key)) = (
-            shared.store,
-            shared.store_keys.lock().unwrap_or_else(|e| e.into_inner())[index],
-        ) {
-            let rr = ReplayedRecord {
-                verdict: verdict.clone(),
-                attempts,
-                engine,
-                frames_solved,
-                wall_ms: wall.as_millis() as u64,
-            };
-            if let Err(e) = store.put(key, &rr) {
-                eprintln!("verdict store write failed: {e}");
-            }
+    if let (Some(store), Some(key)) = (shared.store, store_key) {
+        let rr = ReplayedRecord {
+            verdict: verdict.clone(),
+            attempts,
+            engine,
+            frames_solved,
+            wall_ms: wall.as_millis() as u64,
+        };
+        if let Err(e) = store.put(key, &rr) {
+            eprintln!("verdict store write failed: {e}");
         }
     }
     let record = JobRecord {
@@ -1289,7 +1250,7 @@ pub(crate) fn finish(
         mismatch,
         cached,
     };
-    shared.results.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(record);
+    shared.job(index, |j| j.record = Some(record));
 }
 
 fn build_design(obl: &Obligation) -> Design {
@@ -1366,9 +1327,9 @@ fn store_probe(shared: &Shared, index: usize) -> bool {
         Ok(key) => key,
         Err(_) => return false,
     };
-    shared.store_keys.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(key);
     let Some(rr) = store.get(key) else {
         shared.cache_misses.fetch_add(1, Ordering::Relaxed);
+        shared.job(index, |j| j.store_key = Some(key));
         return false;
     };
     shared.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1381,17 +1342,19 @@ fn store_probe(shared: &Shared, index: usize) -> bool {
             .field("engine", rr.engine)
             .field("source", "verdict-store"),
     );
+    shared.job(index, |j| {
+        j.wall = Duration::from_millis(rr.wall_ms);
+        j.frames = rr.frames_solved;
+        j.cached = true;
+    });
     finish(
         shared,
         index,
         rr.verdict,
         rr.attempts,
-        Duration::from_millis(rr.wall_ms),
         rr.engine,
         None,
         None,
-        rr.frames_solved,
-        true,
     );
     true
 }
@@ -1500,8 +1463,9 @@ fn run_session_check(
     (result, frames)
 }
 
-/// Unwraps a joined side thread, propagating its panic to the caller
-/// (the worker's `catch_unwind` turns it into a `Failed` verdict).
+/// Unwraps a joined thread, propagating its panic to the caller (for a
+/// portfolio side, the worker's `catch_unwind` turns it into a `Failed`
+/// verdict).
 fn join_side<T>(r: std::thread::Result<T>) -> T {
     match r {
         Ok(v) => v,

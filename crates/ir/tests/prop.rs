@@ -4,15 +4,14 @@
 //! and (b) by bit-blasting to an AIG and simulating the AIG; the results
 //! must agree bit-for-bit. This is the load-bearing guarantee of the whole
 //! stack: BMC verdicts are only as trustworthy as the bit-blaster.
-
-// Opt-in: the proptest dev-dependency is not part of the offline
-// workspace. Re-add `proptest` to this crate's dev-dependencies and build
-// with `RUSTFLAGS="--cfg gqed_proptest"` to run this suite.
-#![cfg(gqed_proptest)]
+//!
+//! Driven by the workspace's deterministic splitmix64 PRNG: each case's
+//! DAG, widths and input values come from one seeded stream, so a failing
+//! case number reproduces exactly.
 
 use gqed_ir::{BitBlaster, Context, TermId};
+use gqed_logic::rng::SplitMix64;
 use gqed_logic::Aig;
-use proptest::prelude::*;
 
 /// Recipe for one random DAG node.
 #[derive(Clone, Debug)]
@@ -41,32 +40,46 @@ enum NodeRecipe {
     Redand(usize),
 }
 
-fn recipe_strategy() -> impl Strategy<Value = NodeRecipe> {
-    let idx = 0usize..64;
-    prop_oneof![
-        any::<u128>().prop_map(NodeRecipe::Const),
-        Just(NodeRecipe::Input),
-        idx.clone().prop_map(NodeRecipe::Not),
-        idx.clone().prop_map(NodeRecipe::Neg),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::And(a, b)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Or(a, b)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Xor(a, b)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Add(a, b)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Sub(a, b)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Mul(a, b)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Eq(a, b)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Ult(a, b)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Slt(a, b)),
-        (idx.clone(), idx.clone(), idx.clone()).prop_map(|(a, b, c)| NodeRecipe::Ite(a, b, c)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Concat(a, b)),
-        (idx.clone(), 0u32..16, 0u32..16).prop_map(|(a, h, l)| NodeRecipe::Extract(a, h, l)),
-        (idx.clone(), 1u32..24).prop_map(|(a, w)| NodeRecipe::Zext(a, w)),
-        (idx.clone(), 1u32..24).prop_map(|(a, w)| NodeRecipe::Sext(a, w)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Shl(a, b)),
-        (idx.clone(), idx.clone()).prop_map(|(a, b)| NodeRecipe::Lshr(a, b)),
-        idx.clone().prop_map(NodeRecipe::Redor),
-        idx.prop_map(NodeRecipe::Redand),
-    ]
+/// One random DAG node; operand indices are drawn from `0..64` and wrap
+/// onto the nodes built so far.
+fn gen_recipe(rng: &mut SplitMix64) -> NodeRecipe {
+    let mut idx = || rng.below(64) as usize;
+    let (a, b, c) = (idx(), idx(), idx());
+    match rng.below(22) {
+        0 => NodeRecipe::Const(rng.next_u128()),
+        1 => NodeRecipe::Input,
+        2 => NodeRecipe::Not(a),
+        3 => NodeRecipe::Neg(a),
+        4 => NodeRecipe::And(a, b),
+        5 => NodeRecipe::Or(a, b),
+        6 => NodeRecipe::Xor(a, b),
+        7 => NodeRecipe::Add(a, b),
+        8 => NodeRecipe::Sub(a, b),
+        9 => NodeRecipe::Mul(a, b),
+        10 => NodeRecipe::Eq(a, b),
+        11 => NodeRecipe::Ult(a, b),
+        12 => NodeRecipe::Slt(a, b),
+        13 => NodeRecipe::Ite(a, b, c),
+        14 => NodeRecipe::Concat(a, b),
+        15 => NodeRecipe::Extract(a, rng.below(16) as u32, rng.below(16) as u32),
+        16 => NodeRecipe::Zext(a, 1 + rng.below(23) as u32),
+        17 => NodeRecipe::Sext(a, 1 + rng.below(23) as u32),
+        18 => NodeRecipe::Shl(a, b),
+        19 => NodeRecipe::Lshr(a, b),
+        20 => NodeRecipe::Redor(a),
+        _ => NodeRecipe::Redand(a),
+    }
+}
+
+/// A random case: `1..max_nodes` recipes, `1..8` widths in `1..16`, and
+/// 64 full-width input values.
+fn gen_case(rng: &mut SplitMix64, max_nodes: u64) -> (Vec<NodeRecipe>, Vec<u32>, Vec<u128>) {
+    let n = 1 + rng.below(max_nodes - 1) as usize;
+    let recipes = (0..n).map(|_| gen_recipe(rng)).collect();
+    let nw = 1 + rng.below(7) as usize;
+    let widths = (0..nw).map(|_| 1 + rng.below(15) as u32).collect();
+    let input_vals = (0..64).map(|_| rng.next_u128()).collect();
+    (recipes, widths, input_vals)
 }
 
 /// Builds a term DAG from recipes, fixing up widths so every node is legal.
@@ -189,15 +202,11 @@ fn to_bool(ctx: &mut Context, t: TermId) -> TermId {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    #[test]
-    fn bitblast_agrees_with_eval(
-        recipes in prop::collection::vec(recipe_strategy(), 1..60),
-        widths in prop::collection::vec(1u32..16, 1..8),
-        input_vals in prop::collection::vec(any::<u128>(), 64),
-    ) {
+#[test]
+fn bitblast_agrees_with_eval() {
+    let mut rng = SplitMix64::new(0xB17_B1A5);
+    for case in 0..200 {
+        let (recipes, widths, input_vals) = gen_case(&mut rng, 60);
         let (ctx, nodes, inputs) = build_dag(&recipes, &widths);
         let root = *nodes.last().unwrap();
 
@@ -205,8 +214,7 @@ proptest! {
         let val_of = |t: TermId| {
             inputs.iter().position(|&i| i == t).map(|k| {
                 let w = ctx.width(t);
-                input_vals[k % input_vals.len()]
-                    & if w >= 128 { u128::MAX } else { (1 << w) - 1 }
+                input_vals[k % input_vals.len()] & if w >= 128 { u128::MAX } else { (1 << w) - 1 }
             })
         };
         let expect = gqed_ir::eval_terms(&ctx, &[root], val_of)[0];
@@ -231,17 +239,17 @@ proptest! {
             .enumerate()
             .map(|(i, &b)| u128::from(aig.eval(b, &aig_inputs)) << i)
             .sum();
-        prop_assert_eq!(got, expect, "bit-blast/eval divergence");
+        assert_eq!(got, expect, "case {case}: bit-blast/eval divergence");
     }
+}
 
-    #[test]
-    fn instantiation_preserves_semantics(
-        recipes in prop::collection::vec(recipe_strategy(), 1..40),
-        widths in prop::collection::vec(1u32..16, 1..8),
-        input_vals in prop::collection::vec(any::<u128>(), 64),
-    ) {
+#[test]
+fn instantiation_preserves_semantics() {
+    let mut rng = SplitMix64::new(0x1D_5B57);
+    for case in 0..200 {
         // Substituting every leaf with itself must produce a term that
         // evaluates identically (the instantiation engine's identity case).
+        let (recipes, widths, input_vals) = gen_case(&mut rng, 40);
         let (mut ctx, nodes, inputs) = build_dag(&recipes, &widths);
         let root = *nodes.last().unwrap();
         let mut map: std::collections::HashMap<TermId, TermId> =
@@ -252,12 +260,11 @@ proptest! {
         let val_of = |t: TermId| {
             inputs.iter().position(|&i| i == t).map(|k| {
                 let w = ctx.width(t);
-                input_vals[k % input_vals.len()]
-                    & if w >= 128 { u128::MAX } else { (1 << w) - 1 }
+                input_vals[k % input_vals.len()] & if w >= 128 { u128::MAX } else { (1 << w) - 1 }
             })
         };
         let v1 = gqed_ir::eval_terms(&ctx, &[root], val_of)[0];
         let v2 = gqed_ir::eval_terms(&ctx, &[root2], val_of)[0];
-        prop_assert_eq!(v1, v2);
+        assert_eq!(v1, v2, "case {case}: substitution changed the value");
     }
 }

@@ -47,13 +47,6 @@ impl AigLit {
         AigLit(self.0 ^ 1)
     }
 
-    /// This literal with its complement flag set to `c` *xor* the current
-    /// flag. Useful when propagating an inversion.
-    #[must_use]
-    pub fn xor_complement(self, c: bool) -> Self {
-        AigLit(self.0 ^ c as u32)
-    }
-
     /// Whether this is one of the two constant literals.
     pub fn is_const(self) -> bool {
         self.node() == 0
@@ -62,11 +55,6 @@ impl AigLit {
     /// Raw AIGER-style encoding (`2 * node + complement`).
     pub fn raw(self) -> u32 {
         self.0
-    }
-
-    /// Reconstructs a literal from its raw AIGER-style encoding.
-    pub fn from_raw(raw: u32) -> Self {
-        AigLit(raw)
     }
 }
 
@@ -159,14 +147,6 @@ impl Aig {
         self.nodes.push(Node::Input(ordinal));
         self.inputs.push(idx);
         AigLit::new(idx, false)
-    }
-
-    /// The input ordinal of a literal's node, if it is an input.
-    pub fn input_ordinal(&self, lit: AigLit) -> Option<u32> {
-        match self.nodes[lit.node() as usize] {
-            Node::Input(ord) => Some(ord),
-            _ => None,
-        }
     }
 
     /// The positive literal of the input created `ordinal`-th.

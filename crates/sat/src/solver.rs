@@ -50,11 +50,6 @@ impl SolveOutcome {
             _ => None,
         }
     }
-
-    /// True when the search stopped without a verdict.
-    pub fn is_inconclusive(self) -> bool {
-        self.verdict().is_none()
-    }
 }
 
 /// Cumulative search statistics, exposed for the evaluation tables.
