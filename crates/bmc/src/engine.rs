@@ -2,11 +2,16 @@
 //!
 //! One engine instance owns one growing unrolling: a shared AIG, a
 //! persistent Tseitin encoding and one incremental SAT solver. Extending
-//! the bound adds the new frame's logic; nothing is re-encoded. Environment
-//! constraints are attached to per-frame *activation literals* so that a
-//! query at frame `k` assumes exactly the constraints of frames `0..=k` —
-//! later frames (if already built) cannot prune behavior, which would be
-//! unsound for BMC.
+//! the bound adds the new frame's logic; nothing is re-encoded.
+//! Environment constraints are attached to per-frame *activation
+//! literals* so that a query at frame `k` assumes exactly the constraints
+//! of frames `0..=k` — later frames (if already built) cannot prune
+//! behavior, which would be unsound for BMC.
+//!
+//! New clauses are staged in a [`Cnf`] only until the next query drains
+//! them into the solver, so a long-lived engine (such as a parked,
+//! resumable campaign session) holds each clause once, in the solver's
+//! arena.
 
 use crate::replay::replay;
 use crate::trace::Trace;
@@ -211,8 +216,6 @@ pub struct BmcEngine<'a> {
     init_state_bits: HashMap<TermId, Vec<AigLit>>,
     /// Cached CNF literal of each (bad, frame) pair already encoded.
     bad_lits: HashMap<(usize, u32), i32>,
-    /// Number of CNF clauses already mirrored into the solver.
-    synced_clauses: usize,
     /// Wall-clock time accumulated across check calls.
     wall: Duration,
     /// Frames `0..verified_clean` are proven clean (no bad fires there);
@@ -243,7 +246,6 @@ impl<'a> BmcEngine<'a> {
             frames: Vec::new(),
             init_state_bits: HashMap::new(),
             bad_lits: HashMap::new(),
-            synced_clauses: 0,
             wall: Duration::ZERO,
             verified_clean: 0,
             assumption_buf: Vec::new(),
@@ -266,16 +268,6 @@ impl<'a> BmcEngine<'a> {
     /// purely a performance knob for A/B benchmarking.
     pub fn set_inprocessing(&mut self, on: bool) {
         self.solver.set_simplify(on);
-    }
-
-    /// Renders the engine's current CNF (the whole unrolling encoded so
-    /// far) in DIMACS format, for cross-checking individual queries with
-    /// an external SAT solver. Per-frame constraint activation literals
-    /// and `bad` literals are *not* asserted in the dump — append the unit
-    /// clauses for the query you want to reproduce (see
-    /// [`BmcEngine::stats`] for sizes).
-    pub fn to_dimacs(&self) -> String {
-        self.cnf.to_dimacs()
     }
 
     /// Current metrics.
@@ -463,18 +455,19 @@ impl<'a> BmcEngine<'a> {
         }
     }
 
-    /// Mirrors into the solver every CNF variable and clause produced
-    /// since the last flush (the Tseitin encoder and constraint encoding
-    /// write into `self.cnf` only).
+    /// Moves into the solver every CNF variable and clause produced since
+    /// the last flush (the Tseitin encoder and constraint encoding write
+    /// into `self.cnf` only). All new variables go first, then the
+    /// clauses in encoding order; the drained clauses are dropped from
+    /// `self.cnf`, so the solver holds the only copy.
     fn flush_cnf(&mut self) {
-        let (cnf, solver) = (&self.cnf, &mut self.solver);
+        let (cnf, solver) = (&mut self.cnf, &mut self.solver);
         while solver.num_vars() < cnf.num_vars() {
             let _ = solver.new_var();
         }
-        for c in cnf.clauses().skip(self.synced_clauses) {
+        cnf.drain_clauses(|c| {
             solver.add_clause(c);
-        }
-        self.synced_clauses = cnf.num_clauses();
+        });
     }
 
     /// Checks *all* `bad` properties at exactly `frame` through a single
@@ -750,21 +743,31 @@ mod tests {
     }
 
     #[test]
-    fn dimacs_dump_matches_reported_sizes() {
-        let (ctx, ts) = counter_reaches(5, 8);
+    fn every_encoded_clause_is_drained_into_the_solver() {
+        // A constrained design, so flushes carry activation clauses too.
+        let (mut ctx, mut ts) = counter_reaches(5, 8);
+        let en = ts.inputs[0];
+        let not_en = ctx.not(en);
+        let always = ctx.or(en, not_en);
+        ts.constraints.push(always);
         let mut engine = BmcEngine::new(&ctx, &ts);
         let _ = engine.check_up_to(3);
-        let dump = engine.to_dimacs();
-        let stats = engine.stats();
-        let header = dump.lines().next().unwrap().to_string();
-        assert_eq!(
-            header,
-            format!("p cnf {} {}", stats.cnf_vars, stats.cnf_clauses)
-        );
-        assert_eq!(
-            dump.lines().filter(|l| l.ends_with(" 0")).count(),
-            stats.cnf_clauses
-        );
+        assert_eq!(engine.cnf.clauses().count(), 0);
+
+        // Same encoding steps by hand: each flush hands over exactly the
+        // clauses pending before it, and the reported size is their sum.
+        let mut twin = BmcEngine::new(&ctx, &ts);
+        let mut handed = 0;
+        for frame in 0..=3 {
+            let _ = twin.encode_bad_at(0, frame);
+            handed += twin.cnf.clauses().count();
+            twin.flush_cnf();
+            assert_eq!(twin.cnf.clauses().count(), 0);
+        }
+        assert_eq!(twin.solver.num_vars(), twin.cnf.num_vars());
+        assert_eq!(twin.stats().cnf_clauses, handed);
+        assert_eq!(engine.stats().cnf_clauses, handed);
+        assert_eq!(engine.stats().cnf_vars, twin.stats().cnf_vars);
     }
 
     #[test]

@@ -66,9 +66,11 @@ pub fn bugs() -> Vec<BugInfo> {
         BugInfo {
             id: "index-stuck-on-early-valid",
             description: "a request offered (not accepted) while busy freezes the element \
-                          index for one cycle (an element is multiplied twice)",
+                          index for one cycle: the first element pair is accumulated twice \
+                          and the last pair never, so the reference-model assertion sees \
+                          the wrong dot product as soon as the next request is offered early",
             class: BugClass::ContextDependent,
-            expected: both(false),
+            expected: both(true),
             min_transactions: 1,
         },
         BugInfo {

@@ -7,8 +7,9 @@
 //!   folding. Word-level designs are bit-blasted (in `gqed-ir`) into an
 //!   [`aig::Aig`], which doubles as the gate-count metric used in the
 //!   evaluation tables.
-//! * [`cnf`] — a clause database in DIMACS conventions (`i32` literals,
-//!   variable `v` ↦ literals `v` / `-v`), writable to a `.cnf` file.
+//! * [`cnf`] — a clause buffer in DIMACS conventions (`i32` literals,
+//!   variable `v` ↦ literals `v` / `-v`) that producers drain into a
+//!   solver.
 //! * [`tseitin`] — the Tseitin transformation from an AIG cone to CNF.
 //!
 //! It also hosts [`rng`] — a tiny deterministic splitmix64 PRNG shared by

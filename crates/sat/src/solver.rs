@@ -178,12 +178,27 @@ impl LevelStamps {
 #[derive(Clone, Debug)]
 struct ElimRecord {
     var: Var,
-    /// The eliminated variable's original clauses (both polarities).
-    clauses: Vec<Vec<Lit>>,
+    /// The eliminated variable's original clauses (positive occurrences
+    /// first, then negative), flat: each clause is a length word (the
+    /// count in a `Lit`'s `u32`, as in the clause arena's header)
+    /// followed by its literals. Walk it with [`saved_clauses`].
+    clauses: Vec<Lit>,
     /// Whether the variable has been restored; restored records are
     /// skipped by model reconstruction and can never be re-activated
     /// (a re-elimination pushes a fresh record).
     restored: bool,
+}
+
+/// The clauses of a flat elimination record ([`ElimRecord::clauses`]),
+/// in the order they were saved.
+fn saved_clauses(flat: &[Lit]) -> impl Iterator<Item = &[Lit]> {
+    let mut rest = flat;
+    std::iter::from_fn(move || {
+        let (len, tail) = rest.split_first()?;
+        let (clause, next) = tail.split_at(len.0 as usize);
+        rest = next;
+        Some(clause)
+    })
 }
 
 /// Incremental CDCL SAT solver. See the crate docs for an overview.
@@ -710,8 +725,8 @@ impl Solver {
         let clauses = std::mem::take(&mut rec.clauses);
         self.stats.restored_vars += 1;
         self.heap.push(v.0, &self.activity);
-        for c in clauses {
-            for &l in &c {
+        for c in saved_clauses(&clauses) {
+            for &l in c {
                 self.restore_var(l.var());
                 if !self.ok {
                     return;
@@ -738,7 +753,7 @@ impl Solver {
             }
             // Default to false, matching Solver::value's unassigned default.
             let mut val: i8 = -1;
-            for c in &rec.clauses {
+            for c in saved_clauses(&rec.clauses) {
                 let mut sat = false;
                 let mut vlit = None;
                 for &l in c {

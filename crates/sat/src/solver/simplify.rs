@@ -334,18 +334,24 @@ impl Solver {
                 continue;
             }
             // Commit: save → delete originals (unlogged; see module docs)
-            // → mark eliminated → add resolvents.
-            let mut saved: Vec<Vec<Lit>> = Vec::with_capacity(pos.len() + neg.len());
+            // → mark eliminated → add resolvents. The record is sized
+            // exactly: one length word plus the literals per clause.
+            let words =
+                |refs: &[ClauseRef]| -> usize { refs.iter().map(|&r| 1 + self.db.len(r)).sum() };
+            let split = words(&pos);
+            let mut saved: Vec<Lit> = Vec::with_capacity(split + words(&neg));
             for &r in pos.iter().chain(neg.iter()) {
-                saved.push(self.db.lits(r).to_vec());
+                let lits = self.db.lits(r);
+                saved.push(Lit(lits.len() as u32));
+                saved.extend_from_slice(lits);
                 self.delete_attached(r);
             }
             self.elim_record[vi] = Some(self.elim_records.len() as u32);
             self.stats.eliminated_vars += 1;
             any_elim = true;
-            let (ps, ns) = saved.split_at(pos.len());
-            'resolvents: for p in ps {
-                for n in ns {
+            let (ps, ns) = saved.split_at(split);
+            'resolvents: for p in super::saved_clauses(ps) {
+                for n in super::saved_clauses(ns) {
                     if !resolve(p, n, v, &mut res) {
                         continue;
                     }

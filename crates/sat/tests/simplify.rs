@@ -223,3 +223,99 @@ fn frozen_variables_are_not_eliminated() {
     s.simplify();
     assert_eq!(s.solve(&[]), SatResult::Sat);
 }
+
+/// Distinct random literals over variables `1..=top`.
+fn random_lits(rng: &mut SplitMix64, top: i32, n: usize) -> Vec<i32> {
+    let mut out: Vec<i32> = Vec::new();
+    while out.len() < n {
+        let v = rng.range_i32(1, top);
+        if !out.contains(&v) && !out.contains(&-v) {
+            out.push(if rng.next_bool() { v } else { -v });
+        }
+    }
+    out
+}
+
+/// AND-gate definitions `x ↔ (a ∧ b [∧ c])` make BVE candidates whose
+/// saved clauses differ in length: binary implications next to one long
+/// clause. Some of the eliminated gate outputs are then restored through
+/// assumptions and through new clauses; every verdict must match brute
+/// force and every model must satisfy every clause ever added, the
+/// eliminated variables' saved clauses included.
+#[test]
+fn mixed_length_eliminations_restore_soundly() {
+    let mut rng = SplitMix64::new(0xE11A_5EED);
+    let (mut eliminated, mut restored) = (0, 0);
+    for round in 0..200 {
+        let nv = 8 + rng.below(5) as i32; // 8..=12 variables
+        let gates = 2 + rng.below(3) as i32; // the top 2..=4 are gate outputs
+        let base = nv - gates;
+        let mut clauses: Vec<Vec<i32>> = Vec::new();
+        for x in base + 1..=nv {
+            let fanin = 2 + rng.below(2) as usize;
+            let ins = random_lits(&mut rng, x - 1, fanin);
+            for &i in &ins {
+                clauses.push(vec![-x, i]);
+            }
+            let mut long: Vec<i32> = ins.iter().map(|&i| -i).collect();
+            long.push(x);
+            clauses.push(long);
+        }
+        for _ in 0..rng.below(2 * base as u64) {
+            clauses.push(random_clause(&mut rng, base, 3));
+        }
+
+        let mut s = Solver::new();
+        for _ in 0..nv {
+            s.new_var();
+        }
+        for c in &clauses {
+            s.add_clause(c);
+        }
+        s.simplify();
+        eliminated += s.stats().eliminated_vars;
+
+        let check = |s: &Solver, got: SatResult, all: &[Vec<i32>], fixed: &[i32], what: &str| {
+            let expect = brute_force_sat(nv, all, fixed);
+            assert_eq!(got == SatResult::Sat, expect, "round {round} ({what})");
+            if got == SatResult::Sat {
+                assert!(model_satisfies(s, all), "round {round} ({what}): bad model");
+                for &f in fixed {
+                    assert!(
+                        s.value(f),
+                        "round {round} ({what}): assumption {f} violated"
+                    );
+                }
+            }
+        };
+        let got = s.solve(&[]);
+        check(&s, got, &clauses, &[], "plain");
+
+        // Restore through assumptions on gate outputs.
+        let assumps: Vec<i32> = (base + 1..=nv)
+            .map(|x| match rng.below(3) {
+                0 => x,
+                1 => -x,
+                _ => 0,
+            })
+            .filter(|&l| l != 0)
+            .collect();
+        let got = s.solve(&assumps);
+        check(&s, got, &clauses, &assumps, "assumed");
+
+        // Restore through new clauses tying a gate output to a base literal.
+        let x = rng.range_i32(base + 1, nv);
+        let extra = vec![
+            if rng.next_bool() { x } else { -x },
+            random_lits(&mut rng, base, 1)[0],
+        ];
+        s.add_clause(&extra);
+        clauses.push(extra);
+        s.simplify();
+        let got = s.solve(&[]);
+        check(&s, got, &clauses, &[], "incremental");
+        restored += s.stats().restored_vars;
+    }
+    assert!(eliminated > 0, "no variable was ever eliminated");
+    assert!(restored > 0, "no eliminated variable was ever restored");
+}

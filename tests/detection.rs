@@ -119,6 +119,14 @@ fn canonical_aqed_bug_matvec() {
 }
 
 #[test]
+fn context_dependent_caught_by_reference_matvec() {
+    // Offering the next request while busy corrupts the current
+    // transaction's own dot product, so the conventional reference
+    // assertion catches it too (a 3-cycle trace).
+    run_case("matvec", "index-stuck-on-early-valid");
+}
+
+#[test]
 fn consistent_functional_escape_vecadd() {
     run_case("vecadd", "nibble-carry-break");
 }
