@@ -270,6 +270,21 @@ impl<'a> BmcEngine<'a> {
         self.solver.set_simplify(on);
     }
 
+    /// Releases the spare capacity of the engine's solver
+    /// ([`Solver::trim`]) and of its assumption buffer, for an engine
+    /// parked after a stop until its next check. The next check resumes
+    /// with exactly the search it would have had untrimmed.
+    pub fn trim(&mut self) {
+        self.solver.trim();
+        self.assumption_buf = Vec::new();
+    }
+
+    /// Bytes the solver's clause arena and watch lists reserve beyond
+    /// their live contents ([`Solver::spare_bytes`]).
+    pub fn spare_bytes(&self) -> usize {
+        self.solver.spare_bytes()
+    }
+
     /// Current metrics.
     pub fn stats(&self) -> BmcStats {
         BmcStats {

@@ -1190,6 +1190,7 @@ fn finish(
             .field("subsumed_clauses", s.solver.subsumed_clauses)
             .field("strengthened_clauses", s.solver.strengthened_clauses)
             .field("vivified_clauses", s.solver.vivified_clauses)
+            .field("peak_arena_bytes", s.solver.peak_arena_bytes)
             .field("bmc_wall_ms", s.wall.as_millis() as u64);
     }
     if let Some(p) = &pdr_stats {

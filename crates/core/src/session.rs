@@ -248,7 +248,9 @@ impl CheckSession {
         cold
     }
 
-    /// Runs — or, after a stop, resumes — the check under `limits`.
+    /// Runs — or, after a stop, resumes — the check under `limits`. A
+    /// stopped run trims the engine ([`BmcEngine::trim`]) before it
+    /// returns, so a parked session holds no spare solver capacity.
     pub fn run(&mut self, limits: &BmcLimits) -> CheckStatus {
         let start = Instant::now();
         let result = self.engine.try_check_up_to(self.bound, limits);
@@ -274,13 +276,16 @@ impl CheckSession {
                 stats,
                 elapsed,
             }),
-            BmcStatus::Stopped { frame, reason } => CheckStatus::Stopped {
-                kind,
-                frame,
-                reason,
-                stats,
-                elapsed,
-            },
+            BmcStatus::Stopped { frame, reason } => {
+                self.engine.trim();
+                CheckStatus::Stopped {
+                    kind,
+                    frame,
+                    reason,
+                    stats,
+                    elapsed,
+                }
+            }
         }
     }
 }
@@ -369,6 +374,40 @@ mod tests {
             CheckStatus::Done(o) => assert!(o.verdict.is_violation()),
             CheckStatus::Stopped { .. } => panic!("unlimited run cannot stop"),
         }
+    }
+
+    #[test]
+    fn stopped_session_is_parked_trimmed_and_resumes_to_the_same_verdict() {
+        let d = accum::build(&accum::Params::default(), Some("carry-leak"));
+        let expected =
+            match CheckSession::for_design(&d, CheckKind::GQed, 16).run(&BmcLimits::default()) {
+                CheckStatus::Done(o) => format!("{:?}", o.verdict),
+                CheckStatus::Stopped { .. } => panic!("unlimited run cannot stop"),
+            };
+        let mut session = CheckSession::for_design(&d, CheckKind::GQed, 16);
+        let mut stops = 0;
+        for attempt in 0..30u32 {
+            let limits = BmcLimits {
+                budget: Some(10u64 << attempt),
+                ..BmcLimits::default()
+            };
+            match session.run(&limits) {
+                CheckStatus::Stopped { .. } => {
+                    stops += 1;
+                    assert_eq!(
+                        session.engine.spare_bytes(),
+                        0,
+                        "parked with spare capacity"
+                    );
+                }
+                CheckStatus::Done(o) => {
+                    assert!(stops > 0, "the first budget already sufficed");
+                    assert_eq!(format!("{:?}", o.verdict), expected);
+                    return;
+                }
+            }
+        }
+        panic!("escalating resumes never reached a verdict");
     }
 
     #[test]

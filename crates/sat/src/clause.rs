@@ -18,10 +18,11 @@
 //! clause's literals stay readable, so `ClauseRef`s held as propagation
 //! reasons or left in watch lists stay valid (reason clauses are
 //! additionally *locked* and never deleted while locked). Tombstones
-//! accumulate across long incremental runs; [`ClauseDb::compact`] slides
-//! live clauses down in allocation order and trims each capacity to its
-//! length, returning the [`Relocation`] the solver uses to rewrite every
-//! live `ClauseRef` (watch lists and reason slots).
+//! and shrink slack stay until [`ClauseDb::compact`], which the solver
+//! runs at the end of every inprocessing pass and on its reduction
+//! schedule: it slides live clauses down in allocation order and trims
+//! each capacity to its length, returning the [`Relocation`] the solver
+//! uses to rewrite every live `ClauseRef` (watch lists and reason slots).
 //!
 //! Order preservation: the arena never reorders clauses, a clause's
 //! literals move only where the solver swaps them, and compaction keeps
@@ -101,19 +102,27 @@ impl Tier {
     }
 }
 
-/// Old → new offsets of the clauses that survived a
-/// [`ClauseDb::compact`], sorted by old offset.
+/// Fewest words a stored clause spans: the header plus two literal
+/// slots (capacity never drops below the two literals a clause is
+/// stored with).
+const MIN_WORDS: usize = HEADER + 2;
+/// [`Relocation`] slot of a clause that compaction reclaimed.
+const RECLAIMED: u32 = u32::MAX;
+
+/// Old → new offsets of the clauses a [`ClauseDb::compact`] saw: a dense
+/// table indexed by old offset / [`MIN_WORDS`]. Two clause headers lie
+/// at least [`MIN_WORDS`] apart, so each clause owns its own slot and a
+/// lookup is one load.
 #[derive(Debug)]
-pub(crate) struct Relocation(Vec<(ClauseRef, ClauseRef)>);
+pub(crate) struct Relocation(Vec<u32>);
 
 impl Relocation {
     /// Where the clause at `old` now lives (`None` for a reclaimed
-    /// tombstone).
+    /// tombstone). `old` must be a clause offset from before the
+    /// compaction.
     pub(crate) fn get(&self, old: ClauseRef) -> Option<ClauseRef> {
-        self.0
-            .binary_search_by_key(&old, |&(o, _)| o)
-            .ok()
-            .map(|i| self.0[i].1)
+        let new = self.0[old.0 as usize / MIN_WORDS];
+        (new != RECLAIMED).then_some(ClauseRef(new))
     }
 }
 
@@ -147,6 +156,10 @@ pub struct ClauseDb {
     pub(crate) clause_inc: f64,
     /// Tombstoned clauses awaiting compaction.
     pub(crate) num_deleted: usize,
+    /// Deletions since the solver last reset it: the trigger of database
+    /// reduction's scheduled compaction. [`ClauseDb::compact`] leaves it
+    /// alone, so compactions off that schedule do not move it.
+    pub(crate) compaction_debt: usize,
     /// High-water mark of [`ClauseDb::arena_bytes`], sampled on alloc.
     pub(crate) peak_bytes: usize,
 }
@@ -159,6 +172,7 @@ impl ClauseDb {
             num_live: 0,
             clause_inc: 1.0,
             num_deleted: 0,
+            compaction_debt: 0,
             peak_bytes: 0,
         }
     }
@@ -311,6 +325,7 @@ impl ClauseDb {
         self.set_word(r, FLAGS, f | DELETED);
         self.num_live -= 1;
         self.num_deleted += 1;
+        self.compaction_debt += 1;
     }
 
     /// A walk over the live clauses allocated so far.
@@ -339,16 +354,19 @@ impl ClauseDb {
     /// rewrite every `ClauseRef` it holds — watch lists and reason slots
     /// — through the returned map; refs to tombstones map to nothing.
     pub(crate) fn compact(&mut self) -> Relocation {
-        let mut map = Vec::with_capacity(self.num_live);
+        let mut map = vec![RECLAIMED; self.data.len().div_ceil(MIN_WORDS)];
         let (mut src, mut dst) = (0usize, 0usize);
         while src < self.data.len() {
             let old = ClauseRef(src as u32);
             let len = self.len(old);
             let next = src + HEADER + self.word(old, CAP) as usize;
             if !self.is_deleted(old) {
+                // A shorter live clause would break the MIN_WORDS stride
+                // the next relocation table relies on.
+                debug_assert!(len >= 2, "live clause shorter than two literals");
                 self.data.copy_within(src..src + HEADER + len, dst);
                 self.data[dst + CAP] = Lit(len as u32);
-                map.push((old, ClauseRef(dst as u32)));
+                map[src / MIN_WORDS] = dst as u32;
                 dst += HEADER + len;
             }
             src = next;
@@ -360,8 +378,9 @@ impl ClauseDb {
 
     /// Releases the arena's spare capacity back to the allocator.
     /// [`ClauseDb::compact`] truncates but deliberately keeps capacity for
-    /// steady-state reuse; emergency memory reclamation wants it gone,
-    /// since [`ClauseDb::arena_bytes`] counts capacity, not length.
+    /// steady-state reuse; emergency memory reclamation and parking a
+    /// stopped session want it gone, since [`ClauseDb::arena_bytes`]
+    /// counts capacity, not length.
     pub(crate) fn shrink(&mut self) {
         self.data.shrink_to_fit();
     }
@@ -543,5 +562,49 @@ mod tests {
         assert_eq!(b2, ClauseRef((HEADER + 2) as u32));
         assert_eq!(db.lits(b2), &lits(&[5, 6, 7])[..]);
         assert_eq!(db.cursor().end, 2 * HEADER + 5);
+    }
+
+    #[test]
+    fn relocation_maps_survivors_in_order_and_tombstones_to_none() {
+        // Clauses of every length from the minimum up, some shrunk in
+        // place (capacity above length), every third one deleted: the
+        // map must send each survivor to the next dense offset in
+        // allocation order and each tombstone to `None`.
+        let mut db = ClauseDb::new();
+        let mut clauses = Vec::new();
+        for i in 0..60i32 {
+            let len = 2 + (i % 7);
+            let c: Vec<i32> = (1..=len)
+                .map(|k| if (i + k) % 2 == 0 { k } else { -k })
+                .collect();
+            let r = db.alloc(&lits(&c), i % 4 == 0, 3);
+            clauses.push((r, c));
+        }
+        for (i, (r, c)) in clauses.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                db.delete(*r);
+            } else if i % 5 == 0 && c.len() > 2 {
+                c.pop();
+                db.set_lits(*r, &lits(c));
+            }
+        }
+        let map = db.compact();
+        let mut next = 0u32;
+        for (i, (r, c)) in clauses.iter().enumerate() {
+            if i % 3 == 0 {
+                assert_eq!(map.get(*r), None, "tombstone {i} survived");
+                continue;
+            }
+            let moved = map.get(*r).expect("survivor mapped");
+            assert_eq!(moved, ClauseRef(next), "clause {i} out of order");
+            assert_eq!(db.lits(moved), &lits(c)[..]);
+            assert_eq!(db.is_learnt(moved), i % 4 == 0);
+            next += (HEADER + c.len()) as u32;
+        }
+        assert_eq!(db.cursor().end, next as usize, "slack left behind");
+        assert_eq!((db.num_deleted, db.num_live()), (0, 40));
+        // Compaction leaves the scheduled-compaction trigger to the
+        // solver.
+        assert_eq!(db.compaction_debt, 20);
     }
 }

@@ -23,18 +23,32 @@
 //!   literals. A clause reference is the word offset of its header.
 //!   Strengthening and vivification shrink a clause in place; compaction
 //!   slides live clauses down in allocation order and rewrites every
-//!   reference through the relocation map it returns.
+//!   reference through the relocation map it returns, a dense table
+//!   indexed by old offset / 7 (a clause spans at least 7 words).
+//! * **Compaction after every pass.** Each inprocessing pass ends at the
+//!   root with a compaction, so its tombstones and shrink slack never
+//!   outlive it. Database reduction keeps its own compaction schedule,
+//!   counting deletions since the last *scheduled* compaction: that
+//!   compaction backtracks to the root, which acts as a restart, so it
+//!   must fall at the same conflicts whatever else compacted.
+//! * **Trimming.** [`Solver::trim`] hands the spare capacity of the
+//!   arena, the watch lists, the trail and the scratch buffers back to
+//!   the allocator, for a caller that parks a stopped solver.
 //! * **Watchers** are 8 bytes: the clause offset with a binary-clause tag
 //!   bit, and a blocker literal. Assignments are one `i8` per literal
 //!   code, so a literal's value is a single load.
 //! * **Lazy detach.** Deleting a clause only tombstones it and marks its
 //!   two watch lists dirty. A dirty list is cleaned, keeping the order of
-//!   its live watchers, before propagation walks it and before
-//!   compaction; a tombstone's literals stay readable until then.
+//!   its live watchers, before propagation walks it and before every
+//!   compaction (so at the latest at the end of the next inprocessing
+//!   pass); a tombstone's literals stay readable until then.
 //! * **Order preservation.** The search depends on three orders, and no
 //!   storage change may alter them: the literals within each clause, the
 //!   watchers within each list, and the allocation order of learnt
 //!   clauses that database reduction's stable sort breaks ties by.
+//!   Compaction and trimming keep all three, and neither moves a clause
+//!   relative to another, so when and how often they run is not part of
+//!   the search — only the backtrack of a scheduled compaction is.
 //!   `tests/search_identity.rs` pins the search counters that would move
 //!   if one did.
 //!

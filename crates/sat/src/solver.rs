@@ -2,7 +2,7 @@
 
 mod simplify;
 
-use crate::clause::{ClauseDb, ClauseRef, Tier, CORE_LBD_MAX, MID_LBD_MAX};
+use crate::clause::{ClauseDb, ClauseRef, Tier, CORE_LBD_MAX, HEADER, MID_LBD_MAX};
 use crate::drat::ProofStep;
 use crate::heap::VarHeap;
 use crate::lit::{Lit, Var};
@@ -67,12 +67,17 @@ pub struct SolverStats {
     pub learnt_clauses: usize,
     /// Number of clauses deleted by database reduction.
     pub deleted_clauses: u64,
-    /// Number of clause-arena compactions performed.
+    /// Number of scheduled clause-arena compactions: database
+    /// reduction's, emergency reclamation's and explicit
+    /// [`Solver::compact`] calls. The compaction that ends every
+    /// inprocessing pass and the one in [`Solver::trim`] are not counted.
     pub compactions: u64,
     /// High-water mark of clause-arena bytes: the capacity of the one
     /// flat arena, 4 bytes per header word or literal slot, tombstones
-    /// and the slack of clauses shrunk in place included until compaction
-    /// reclaims them.
+    /// and the slack of clauses shrunk in place included until the next
+    /// compaction (at the latest, the end of the next inprocessing pass)
+    /// reclaims them. Compaction keeps the capacity and
+    /// [`Solver::trim`] releases it, but the mark never falls.
     pub peak_arena_bytes: usize,
     /// Number of emergency learnt-clause purges forced by the memory
     /// limit ([`Solver::set_memory_limit`]).
@@ -1181,19 +1186,37 @@ impl Solver {
         }
         learnts.clear();
         self.reduce_scratch = learnts;
-        // Long incremental runs accumulate tombstones; once dead slots
-        // outnumber live clauses, compact the arena.
-        if self.db.num_deleted > self.db.num_live() {
+        // Once more clauses were deleted since the last scheduled
+        // compaction than are live, compact the arena. The backtrack to
+        // the root that comes with it acts as a restart, so this schedule
+        // is part of the search; the compaction after every inprocessing
+        // pass does not move it.
+        if self.db.compaction_debt > self.db.num_live() {
             self.compact();
         }
     }
 
-    /// Reclaims tombstoned clause slots, rewriting every live `ClauseRef`
-    /// (watch lists and propagation reasons) through the arena's
-    /// relocation map. Backtracks to the root level first so no stale
-    /// reason survives above it. Safe to call between `solve` calls;
-    /// also triggered automatically from database reduction.
+    /// Reclaims tombstoned clause slots and the slack of clauses shrunk
+    /// in place, rewriting every live `ClauseRef` (watch lists and
+    /// propagation reasons) through the arena's relocation map.
+    /// Backtracks to the root level first so no stale reason survives
+    /// above it. Safe to call between `solve` calls; also triggered
+    /// automatically from database reduction. Counts in
+    /// [`SolverStats::compactions`] and restarts database reduction's
+    /// compaction schedule.
     pub fn compact(&mut self) {
+        self.reclaim();
+        self.db.compaction_debt = 0;
+        self.stats.compactions += 1;
+    }
+
+    /// The compaction itself, off the schedule: cleans every watch list
+    /// (order kept), slides the arena down and relocates every reference.
+    /// Run at the root after each inprocessing pass and when a stopped
+    /// caller [trims](Solver::trim) the solver; neither counts as a
+    /// compaction nor moves database reduction's schedule, so the search
+    /// is the same as without them.
+    fn reclaim(&mut self) {
         self.cancel_until(0);
         for code in 0..self.watches.len() {
             self.clean_watches(code);
@@ -1211,7 +1234,47 @@ impl Solver {
         for slot in &mut self.reason {
             *slot = slot.and_then(|r| map.get(r));
         }
-        self.stats.compactions += 1;
+    }
+
+    /// Releases every spare allocation between solve calls: reclaims the
+    /// arena's tombstones, then shrinks the arena, each watch list, the
+    /// trail and the search's scratch buffers to what they hold. For a
+    /// long-lived caller about to park the solver (a stopped, resumable
+    /// check). Capacity never steers the search, so a trimmed solver
+    /// searches exactly as an untrimmed one would; it only regrows the
+    /// buffers it uses.
+    pub fn trim(&mut self) {
+        self.reclaim();
+        self.db.shrink();
+        for ws in &mut self.watches {
+            ws.shrink_to_fit();
+        }
+        self.trail.shrink_to_fit();
+        self.trail_lim.shrink_to_fit();
+        self.norm = Vec::new();
+        self.learnt = Vec::new();
+        self.to_clear = Vec::new();
+        self.min_stack = Vec::new();
+        self.reduce_scratch = Vec::new();
+    }
+
+    /// Bytes the clause arena and the watch lists reserve beyond their
+    /// live contents: tombstones, the slack of clauses shrunk in place,
+    /// watchers of deleted clauses and unused vector capacity. Zero right
+    /// after [`Solver::trim`]. Walks the arena and every watch list.
+    pub fn spare_bytes(&self) -> usize {
+        let mut live_words = 0;
+        let mut cur = self.db.cursor();
+        while let Some(r) = cur.next(&self.db) {
+            live_words += HEADER + self.db.len(r);
+        }
+        let (mut reserved, mut live) = (0, 0);
+        for ws in &self.watches {
+            reserved += ws.capacity();
+            live += ws.iter().filter(|w| !self.db.is_deleted(w.cref())).count();
+        }
+        self.db.arena_bytes() - live_words * std::mem::size_of::<Lit>()
+            + (reserved - live) * std::mem::size_of::<Watcher>()
     }
 
     /// Solves the formula under the given DIMACS assumption literals.
@@ -1860,6 +1923,125 @@ mod tests {
         s.cancel_until(0);
         assert_eq!(s.num_clauses(), 0);
         assert_eq!(s.solve(&[-a, -b]), SatResult::Sat);
+    }
+
+    /// Adds `n` Tseitin AND gates over random literals of earlier
+    /// variables (enough original clauses for `n` ≥ 234 to schedule an
+    /// inprocessing pass) and returns the gate outputs.
+    fn add_gates(s: &mut Solver, rng: &mut gqed_logic::SplitMix64, n: usize) -> Vec<i32> {
+        (0..n)
+            .map(|_| {
+                let top = s.num_vars() as i32;
+                let mut lit = || {
+                    let v = rng.range_i32(1, top);
+                    if rng.next_bool() {
+                        v
+                    } else {
+                        -v
+                    }
+                };
+                let (a, b) = (lit(), lit());
+                let g = s.new_var();
+                s.add_clause(&[-g, a]);
+                s.add_clause(&[-g, b]);
+                s.add_clause(&[g, -a, -b]);
+                g
+            })
+            .collect()
+    }
+
+    /// Asserts the arena is dense — every clause live, each header right
+    /// after the last literal slot of the one before — and that every
+    /// watcher points at a live clause that watches the list's literal.
+    fn assert_dense_and_clean(s: &Solver) {
+        assert_eq!(s.db.num_deleted, 0, "tombstones survived");
+        let mut cur = s.db.cursor();
+        let (mut at, mut n) = (0, 0);
+        while let Some(r) = cur.next(&s.db) {
+            assert_eq!(r.0 as usize, at, "gap in front of clause {r:?}");
+            at += HEADER + s.db.len(r);
+            n += 1;
+        }
+        assert_eq!(n, s.num_clauses());
+        for (code, ws) in s.watches.iter().enumerate() {
+            assert!(!s.dirty[code]);
+            for w in ws {
+                let r = w.cref();
+                assert!(r.0 < at as u32 && !s.db.is_deleted(r), "stale watcher");
+                assert!(s.db.lits(r)[..2].iter().any(|l| l.code() == code));
+            }
+        }
+    }
+
+    #[test]
+    fn simplify_leaves_a_dense_arena_and_live_watchers() {
+        let mut s = Solver::new();
+        hard_pigeonhole(&mut s, 9);
+        let mut rng = gqed_logic::SplitMix64::new(11);
+        let gates = add_gates(&mut s, &mut rng, 300);
+        // Learn, reduce and tombstone first, so the pass meets learnt
+        // clauses and old tombstones as well as its own deletions.
+        assert_eq!(
+            s.solve_bounded(&[gates[0]], 2600),
+            SolveOutcome::BudgetExhausted
+        );
+        let st = s.stats();
+        assert!(st.simplify_rounds == 1 && st.deleted_clauses > 0);
+        let _ = add_gates(&mut s, &mut rng, 50);
+        let debt = s.db.compaction_debt;
+        s.simplify();
+        let st = s.stats();
+        assert_eq!(st.simplify_rounds, 2);
+        assert!(st.eliminated_vars + st.subsumed_clauses + st.vivified_clauses > 0);
+        // The pass's compaction is off reduce_db's schedule: it neither
+        // counts nor forgets the deletions that trigger the next one.
+        assert_eq!(st.compactions, 0, "post-pass compaction counted");
+        assert!(
+            s.db.compaction_debt > debt,
+            "post-pass compaction reset the schedule"
+        );
+        assert_dense_and_clean(&s);
+        assert_ne!(s.solve_bounded(&[gates[1]], 2000), SolveOutcome::Sat);
+    }
+
+    #[test]
+    fn trim_releases_spare_capacity_and_keeps_the_search() {
+        // Twin solvers run the same budget-stopped queries, with gate
+        // batches (and so inprocessing passes) in between; one is
+        // trimmed after every stop, as a parked session is.
+        let mut twins = [Solver::new(), Solver::new()];
+        let mut stops = 0;
+        for (i, s) in twins.iter_mut().enumerate() {
+            hard_pigeonhole(s, 9);
+            let mut rng = gqed_logic::SplitMix64::new(5);
+            for _ in 0..4 {
+                let gates = add_gates(s, &mut rng, 250);
+                for g in gates.iter().step_by(50) {
+                    if s.solve_bounded(&[*g], 400) == SolveOutcome::BudgetExhausted && i == 1 {
+                        stops += 1;
+                        s.trim();
+                        assert_eq!(s.spare_bytes(), 0);
+                        assert_dense_and_clean(s);
+                    }
+                }
+            }
+        }
+        assert!(stops > 0, "no query hit its budget");
+        let [kept, trimmed] = twins.map(|s| s.stats());
+        assert!(kept.simplify_rounds >= 4 && kept.compactions > 0);
+        let key = |st: SolverStats| {
+            [
+                st.conflicts,
+                st.decisions,
+                st.propagations,
+                st.restarts,
+                st.compactions,
+                st.deleted_clauses,
+                st.eliminated_vars,
+                st.vivified_clauses,
+            ]
+        };
+        assert_eq!(key(kept), key(trimmed));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! resolution, bounded variable elimination (BVE) with a clause-growth
 //! cutoff, and clause vivification — all under one deterministic step
 //! budget (no wall clock, so campaign runs stay byte-reproducible at any
-//! worker count).
+//! worker count) — and ends with a compaction of the clause arena.
 //!
 //! Soundness with incremental callers rests on restore-on-demand: every
 //! eliminated variable keeps its original clauses in an elimination
@@ -47,14 +47,26 @@ impl Solver {
     /// Runs one inprocessing pass (top-level simplification; subsumption
     /// and self-subsuming resolution; bounded variable elimination;
     /// vivification) at the root level under a deterministic step
-    /// budget. Scheduled automatically from [`Solver::solve_bounded`]
-    /// when enough clauses arrived since the last pass; public so
-    /// callers can force a pass regardless of
-    /// [`Solver::set_simplify`].
+    /// budget, then compacts the clause arena: the pass's tombstones and
+    /// shrink slack are reclaimed and every watch list is cleaned, order
+    /// kept. That compaction is off database reduction's schedule and
+    /// does not count in [`SolverStats::compactions`](crate::SolverStats).
+    /// Scheduled automatically from [`Solver::solve_bounded`] when
+    /// enough clauses arrived since the last pass; public so callers can
+    /// force a pass regardless of [`Solver::set_simplify`].
     pub fn simplify(&mut self) {
         if !self.ok {
             return;
         }
+        self.inprocess();
+        if self.ok {
+            self.reclaim();
+        }
+    }
+
+    /// The passes of [`Solver::simplify`], stopping early once the
+    /// formula is found unsatisfiable.
+    fn inprocess(&mut self) {
         self.cancel_until(0);
         if self.propagate().is_some() {
             self.log_add(&[]);
