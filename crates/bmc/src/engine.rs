@@ -134,6 +134,30 @@ impl BmcLimits {
         }
         None
     }
+
+    /// Runs one query on `solver` under these limits: arms the interrupt
+    /// flag, deadline and arena budget (clearing any these limits leave
+    /// unset) and solves with the conflict budget. `Ok(true)` means SAT,
+    /// `Ok(false)` UNSAT, `Err` why the query stopped without a verdict.
+    pub fn solve(&self, solver: &mut Solver, assumptions: &[i32]) -> Result<bool, StopReason> {
+        match &self.interrupt {
+            Some(flag) => solver.set_interrupt(Arc::clone(flag)),
+            None => solver.clear_interrupt(),
+        }
+        match self.deadline {
+            Some(d) => solver.set_deadline(d),
+            None => solver.clear_deadline(),
+        }
+        match self.mem_limit {
+            Some(m) => solver.set_memory_limit(m),
+            None => solver.clear_memory_limit(),
+        }
+        match solver.solve_bounded(assumptions, self.budget.unwrap_or(u64::MAX)) {
+            SolveOutcome::Sat => Ok(true),
+            SolveOutcome::Unsat => Ok(false),
+            stop => Err(StopReason::from_outcome(stop).expect("verdicts handled above")),
+        }
+    }
 }
 
 /// Size and effort metrics of an engine instance (reported in the
@@ -399,28 +423,6 @@ impl<'a> BmcEngine<'a> {
         lit
     }
 
-    /// Runs one solver query under the given limits.
-    fn solve_query(&mut self, assumptions: &[i32], limits: &BmcLimits) -> SolveOutcome {
-        match &limits.interrupt {
-            Some(flag) => self.solver.set_interrupt(Arc::clone(flag)),
-            None => self.solver.clear_interrupt(),
-        }
-        match limits.deadline {
-            Some(d) => self.solver.set_deadline(d),
-            None => self.solver.clear_deadline(),
-        }
-        match limits.mem_limit {
-            Some(m) => self.solver.set_memory_limit(m),
-            None => self.solver.clear_memory_limit(),
-        }
-        self.solver
-            .solve_bounded(assumptions, limits.budget.unwrap_or(u64::MAX))
-    }
-
-    fn stop_reason(outcome: SolveOutcome) -> StopReason {
-        StopReason::from_outcome(outcome).expect("verdicts are handled before stop_reason")
-    }
-
     /// Checks a single `bad` property at exactly `frame`; returns a
     /// replay-confirmed trace if violated there.
     pub fn check_bad_at(&mut self, bad_index: usize, frame: u32) -> Option<Trace> {
@@ -456,18 +458,40 @@ impl<'a> BmcEngine<'a> {
         // Constraint clauses added during extension must reach the solver
         // too; encode_bad_at only syncs its own cone, so sync again.
         self.flush_cnf();
-        match self.solve_with_constraints(frame, bad_lit, limits) {
-            SolveOutcome::Unsat => Ok(None),
-            SolveOutcome::Sat => {
-                let trace = self.extract_trace(bad_index, frame);
-                // Hard soundness guard: every trace must replay concretely.
-                replay(mctx(&self.model), mts(&self.model), &trace).unwrap_or_else(|e| {
-                    panic!("BMC produced a non-replayable counterexample: {e}")
-                });
-                Ok(Some(trace))
-            }
-            stop => Err(Self::stop_reason(stop)),
+        if !self.solve_with_constraints(frame, &[bad_lit], limits)? {
+            return Ok(None);
         }
+        let trace = self.extract_trace(bad_index, frame);
+        // Hard soundness guard: every trace must replay concretely.
+        replay(mctx(&self.model), mts(&self.model), &trace)
+            .unwrap_or_else(|e| panic!("BMC produced a non-replayable counterexample: {e}"));
+        Ok(Some(trace))
+    }
+
+    /// The inductive-step query of k-induction at depth `frame`, on an
+    /// engine over a system whose states all start unconstrained
+    /// (`init: None`): can `bad` property `bad_index` fire at `frame`
+    /// after staying silent at every earlier frame, with the constraints
+    /// of frames `0..=frame` assumed? `Ok(false)` means the step holds at
+    /// this depth. Successive depths reuse the unrolling and the solver.
+    pub fn bad_can_fire_first_at(
+        &mut self,
+        bad_index: usize,
+        frame: u32,
+        limits: &BmcLimits,
+    ) -> Result<bool, StopReason> {
+        let lits: Vec<i32> = (0..=frame)
+            .map(|f| {
+                let lit = self.encode_bad_at(bad_index, f);
+                if f == frame {
+                    lit
+                } else {
+                    -lit
+                }
+            })
+            .collect();
+        self.flush_cnf();
+        self.solve_with_constraints(frame, &lits, limits)
     }
 
     /// Moves into the solver every CNF variable and clause produced since
@@ -521,39 +545,35 @@ impl<'a> BmcEngine<'a> {
         }
         let any_lit = self.tseitin.lit(&self.aig, &mut self.cnf, any);
         self.flush_cnf();
-        match self.solve_with_constraints(frame, any_lit, limits) {
-            SolveOutcome::Unsat => Ok(None),
-            SolveOutcome::Sat => {
-                // Identify which property fired in the model.
-                let bad_index = bad_bits
-                    .iter()
-                    .position(|&b| self.bits_value(&[b]) == 1)
-                    .expect("disjunction satisfied but no disjunct true");
-                let trace = self.extract_trace(bad_index, frame);
-                replay(mctx(&self.model), mts(&self.model), &trace).unwrap_or_else(|e| {
-                    panic!("BMC produced a non-replayable counterexample: {e}")
-                });
-                Ok(Some(trace))
-            }
-            stop => Err(Self::stop_reason(stop)),
+        if !self.solve_with_constraints(frame, &[any_lit], limits)? {
+            return Ok(None);
         }
+        // Identify which property fired in the model.
+        let bad_index = bad_bits
+            .iter()
+            .position(|&b| self.bits_value(&[b]) == 1)
+            .expect("disjunction satisfied but no disjunct true");
+        let trace = self.extract_trace(bad_index, frame);
+        replay(mctx(&self.model), mts(&self.model), &trace)
+            .unwrap_or_else(|e| panic!("BMC produced a non-replayable counterexample: {e}"));
+        Ok(Some(trace))
     }
 
     /// Runs one solver query assuming the constraint activation literals
-    /// of frames `0..=frame` plus the query literal `extra`, reusing the
+    /// of frames `0..=frame` plus the query literals `extra`, reusing the
     /// engine's assumption buffer instead of building a fresh `Vec` per
     /// query.
     fn solve_with_constraints(
         &mut self,
         frame: u32,
-        extra: i32,
+        extra: &[i32],
         limits: &BmcLimits,
-    ) -> SolveOutcome {
+    ) -> Result<bool, StopReason> {
         let mut assumptions = std::mem::take(&mut self.assumption_buf);
         assumptions.clear();
         assumptions.extend((0..=frame).filter_map(|f| self.frames[f as usize].constraint_act));
-        assumptions.push(extra);
-        let out = self.solve_query(&assumptions, limits);
+        assumptions.extend_from_slice(extra);
+        let out = limits.solve(&mut self.solver, &assumptions);
         self.assumption_buf = assumptions;
         out
     }

@@ -8,21 +8,20 @@
 //!   for `k` consecutive cycles (under the environment constraints), it
 //!   cannot fire at cycle `k + 1`.
 //!
-//! Both parts together prove `P` unreachable at every depth. The step is
+//! Both parts together prove `P` unreachable at every depth. Each part
+//! runs on one incremental [`BmcEngine`]: the base case on the system
+//! itself, the step on a copy whose states all start unconstrained
+//! ([`BmcEngine::bad_can_fire_first_at`]), so deepening `k` adds one
+//! frame to each unrolling instead of re-encoding them. The step is
 //! checked without path-uniqueness strengthening, so the prover may return
 //! [`ProofResult::Unknown`] on properties that need an invariant — that is
-//! reported honestly rather than iterating forever. In the evaluation this
-//! is used to certify the bug-free design versions (the "passes G-QED"
-//! rows) beyond the BMC bound.
+//! reported honestly rather than iterating forever. `gqed prove` and
+//! `gqed bmc --prove` use it on conventional assertions; the campaign's
+//! clean-design proofs use IC3/PDR instead.
 
 use crate::engine::{BmcEngine, BmcLimits, StopReason};
 use crate::trace::Trace;
-use gqed_ir::{BitBlaster, Context, TransitionSystem};
-use gqed_logic::aig::Aig;
-use gqed_logic::{Cnf, Tseitin};
-use gqed_sat::{SolveOutcome, Solver};
-use std::collections::HashMap;
-use std::sync::Arc;
+use gqed_ir::{Context, TransitionSystem};
 
 /// Outcome of a k-induction proof attempt.
 #[derive(Clone, Debug)]
@@ -71,8 +70,8 @@ pub fn prove_k_induction(
 /// [`prove_k_induction`] under resource limits: the base-case and
 /// inductive-step queries both run with the limits' conflict budget,
 /// deadline and interrupt flag, and the flag is additionally polled
-/// between depths so cancellation lands before the next (exponentially
-/// larger) step query is even encoded.
+/// between depths so cancellation lands before the next frame is even
+/// encoded.
 pub fn prove_k_induction_limited(
     ctx: &Context,
     ts: &TransitionSystem,
@@ -80,7 +79,12 @@ pub fn prove_k_induction_limited(
     max_k: u32,
     limits: &BmcLimits,
 ) -> ProofResult {
+    let mut free = ts.clone();
+    for s in &mut free.states {
+        s.init = None;
+    }
     let mut base = BmcEngine::new(ctx, ts);
+    let mut step = BmcEngine::new(ctx, &free);
     for k in 0..=max_k {
         if let Some(reason) = limits.poll() {
             return ProofResult::Cancelled { k, reason };
@@ -90,83 +94,13 @@ pub fn prove_k_induction_limited(
             Ok(None) => {}
             Err(reason) => return ProofResult::Cancelled { k, reason },
         }
-        match inductive_step_holds(ctx, ts, bad_index, k, limits) {
-            Ok(true) => return ProofResult::Proven { k },
-            Ok(false) => {}
+        match step.bad_can_fire_first_at(bad_index, k, limits) {
+            Ok(false) => return ProofResult::Proven { k },
+            Ok(true) => {}
             Err(reason) => return ProofResult::Cancelled { k, reason },
         }
     }
     ProofResult::Unknown { max_k }
-}
-
-/// Checks the inductive step at depth `k`: from an arbitrary state, `k`
-/// violation-free constrained cycles cannot be followed by a violation.
-/// Returns `Ok(true)` iff the step query is unsatisfiable.
-fn inductive_step_holds(
-    ctx: &Context,
-    ts: &TransitionSystem,
-    bad_index: usize,
-    k: u32,
-    limits: &BmcLimits,
-) -> Result<bool, StopReason> {
-    let mut aig = Aig::new();
-    let mut cnf = Cnf::new();
-    let mut enc = Tseitin::new();
-    let mut solver = Solver::new();
-
-    // Frame 0: every state is a fresh AIG input (arbitrary start).
-    let mut blaster = BitBlaster::new();
-    for s in &ts.states {
-        let w = ctx.width(s.term);
-        let bits = (0..w).map(|_| aig.input()).collect();
-        blaster.seed(ctx, s.term, bits);
-    }
-
-    for f in 0..=k {
-        let mut input_bits = HashMap::new();
-        let mut leaf = |aig: &mut Aig, t, w: u32| {
-            input_bits
-                .entry(t)
-                .or_insert_with(|| (0..w).map(|_| aig.input()).collect::<Vec<_>>())
-                .clone()
-        };
-        // Constraints hold at every frame.
-        for &c in &ts.constraints {
-            let bits = blaster.blast(ctx, &mut aig, c, &mut leaf);
-            let lit = enc.lit(&aig, &mut cnf, bits[0]);
-            cnf.add_clause(&[lit]);
-        }
-        // Bad is silent before frame k, asserted at frame k.
-        let bits = blaster.blast(ctx, &mut aig, ts.bads[bad_index].term, &mut leaf);
-        let lit = enc.lit(&aig, &mut cnf, bits[0]);
-        cnf.add_clause(&[if f == k { lit } else { -lit }]);
-        // Advance to the next frame.
-        if f < k {
-            let mut next = BitBlaster::new();
-            for s in &ts.states {
-                let bits = blaster.blast(ctx, &mut aig, s.next, &mut leaf);
-                next.seed(ctx, s.term, bits);
-            }
-            blaster = next;
-        }
-    }
-    for c in cnf.clauses() {
-        solver.add_clause(c);
-    }
-    if let Some(flag) = &limits.interrupt {
-        solver.set_interrupt(Arc::clone(flag));
-    }
-    if let Some(d) = limits.deadline {
-        solver.set_deadline(d);
-    }
-    if let Some(m) = limits.mem_limit {
-        solver.set_memory_limit(m);
-    }
-    match solver.solve_bounded(&[], limits.budget.unwrap_or(u64::MAX)) {
-        SolveOutcome::Unsat => Ok(true),
-        SolveOutcome::Sat => Ok(false),
-        stop => Err(StopReason::from_outcome(stop).expect("verdicts handled above")),
-    }
 }
 
 #[cfg(test)]

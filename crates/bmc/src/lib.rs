@@ -14,18 +14,18 @@
 //!   concrete simulator (the engine refuses to return a trace that does not
 //!   replay — a hard soundness guard against bit-blasting or encoding
 //!   bugs);
-//! * [`kind`] — a k-induction prover layered on the same unroller, used to
-//!   obtain unbounded proofs for the bug-free designs in the evaluation.
+//! * [`kind`] — a k-induction prover layered on the same unroller (one
+//!   engine for the base case, one over unconstrained initial states for
+//!   the step), used by `gqed prove` for unbounded proofs of the
+//!   conventional assertions.
 
 #![warn(missing_docs)]
 pub mod engine;
-pub mod equiv;
 pub mod kind;
 pub mod replay;
 pub mod trace;
 
 pub use engine::{BmcEngine, BmcLimits, BmcResult, BmcStats, BmcStatus, StopReason};
-pub use equiv::{prove_equivalent, EquivResult};
 pub use kind::{prove_k_induction, prove_k_induction_limited, ProofResult};
 pub use replay::{replay, ReplayError};
 pub use trace::Trace;

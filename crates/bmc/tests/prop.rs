@@ -11,7 +11,7 @@
 //! Driven by the workspace's deterministic splitmix64 PRNG: a failing
 //! case number reproduces exactly.
 
-use gqed_bmc::{BmcEngine, BmcResult};
+use gqed_bmc::{prove_k_induction, BmcEngine, BmcResult, ProofResult};
 use gqed_ir::{eval_terms, Context, Sim, TermId, TransitionSystem};
 use gqed_logic::rng::SplitMix64;
 use std::collections::HashMap;
@@ -208,4 +208,48 @@ fn bmc_agrees_with_exhaustive_search() {
             }
         }
     }
+}
+
+/// k-induction against the same ground truth: a proof must mean the bad
+/// is unreachable at every depth (searched up to the size of the state
+/// space, which bounds the diameter), a falsification must land on the
+/// first reachable frame, and giving up must mean no violation within
+/// the depth limit.
+#[test]
+fn kind_agrees_with_exhaustive_search() {
+    let mut rng = SplitMix64::new(0x4B_1D);
+    let max_k = 4;
+    let mut proven = 0;
+    for case in 0..60 {
+        let r = gen_ts(&mut rng);
+        let (ctx, ts, inp) = build_ts(&r);
+        match prove_k_induction(&ctx, &ts, 0, max_k) {
+            ProofResult::Proven { k } => {
+                proven += 1;
+                let diameter = 1u32 << ts.state_bits(&ctx);
+                assert_eq!(
+                    exhaustive_reachable(&ctx, &ts, inp, diameter),
+                    None,
+                    "case {case}: proven at k = {k} but reachable: {r:?}"
+                );
+            }
+            ProofResult::Falsified(t) => {
+                assert_eq!(
+                    exhaustive_reachable(&ctx, &ts, inp, max_k),
+                    Some(t.len() as u32 - 1),
+                    "case {case}: {r:?}"
+                );
+            }
+            ProofResult::Unknown { max_k: limit } => {
+                assert_eq!(limit, max_k);
+                assert_eq!(
+                    exhaustive_reachable(&ctx, &ts, inp, max_k),
+                    None,
+                    "case {case}: gave up on a reachable violation: {r:?}"
+                );
+            }
+            ProofResult::Cancelled { .. } => panic!("case {case}: no limits were set"),
+        }
+    }
+    assert!(proven > 0, "no case exercised the inductive step");
 }

@@ -118,7 +118,8 @@ pub struct ObligationSpec {
     pub flow: String,
     /// BMC bound (required by every wire-representable flow).
     pub bound: Option<u32>,
-    /// k-induction depth limit (required by `prove`).
+    /// Induction depth limit (required by `prove`; see
+    /// [`ObligationKind::ProveClean`]).
     pub max_k: Option<u32>,
     /// Catalogue ground truth, when known.
     pub expect_violation: Option<bool>,
@@ -655,12 +656,11 @@ pub fn decode_verdict(r: &JsonValue) -> Option<JobVerdict> {
 }
 
 /// Decodes a record's `engine` attribution into the interned name the
-/// summary counters key on (`bmc`, `kind`, `pdr`, or `-` for anything
-/// unattributed or unrecognized).
+/// summary counters key on (`bmc`, `pdr`, or `-` for anything
+/// unattributed or unrecognized, such as the retired `kind`).
 pub fn decode_engine(r: &JsonValue) -> &'static str {
     match r.get("engine").and_then(JsonValue::as_str) {
         Some("bmc") => "bmc",
-        Some("kind") => "kind",
         Some("pdr") => "pdr",
         _ => "-",
     }

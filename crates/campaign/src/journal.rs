@@ -373,7 +373,7 @@ pub struct ReplayedRecord {
     pub verdict: JobVerdict,
     /// Attempts the original run made.
     pub attempts: u32,
-    /// Which engine produced the verdict: `bmc`, `kind`, `pdr`, or `-`.
+    /// Which engine produced the verdict: `bmc`, `pdr`, or `-`.
     pub engine: &'static str,
     /// Per-frame BMC queries the original run solved for this obligation.
     pub frames_solved: u64,
@@ -604,6 +604,13 @@ mod tests {
                 .field("verdict", "violation")
                 .field("property", "p")
                 .field("cycles", 3u32)
+                .field("engine", "pdr"),
+            // Written before k-induction left the portfolio: still loads.
+            JsonValue::obj()
+                .field("type", "verdict")
+                .field("job", "d")
+                .field("verdict", "proven")
+                .field("k", 2u32)
                 .field("engine", "kind"),
             // A later run re-ran "a" and it timed out: it must re-run again.
             JsonValue::obj()
@@ -616,11 +623,14 @@ mod tests {
         assert!(!state.completed.contains_key("a"), "superseded by timeout");
         assert!(!state.completed.contains_key("b"), "failed must re-run");
         let c = &state.completed["c"];
-        assert_eq!(c.engine, "kind");
+        assert_eq!(c.engine, "pdr");
         assert!(matches!(
             &c.verdict,
             JobVerdict::Violation { property, cycles } if property == "p" && *cycles == 3
         ));
+        let d = &state.completed["d"];
+        assert_eq!(d.engine, "-");
+        assert_eq!(d.verdict, JobVerdict::Proven { k: 2 });
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! them on a `std::thread` worker pool with per-job wall-clock deadlines and
 //! conflict budgets, escalates budgets Luby-style on timeout, isolates
 //! panicking jobs with `catch_unwind`, races an engine [`portfolio`]
-//! (bounded BMC, k-induction, IC3/PDR) on clean designs under a
+//! (bounded BMC, IC3/PDR) on clean designs under a
 //! cooperative cancellation flag, and records everything as JSONL
 //! telemetry.
 //!

@@ -241,8 +241,6 @@ pub struct MutantsReport {
     pub exhausted: Vec<&'static str>,
     /// Violations attributed to the bounded BMC engine.
     pub wins_bmc: usize,
-    /// Violations attributed to the k-induction engine.
-    pub wins_kind: usize,
     /// Violations attributed to the IC3/PDR engine.
     pub wins_pdr: usize,
 }
@@ -264,7 +262,7 @@ impl MutantsReport {
         }
         let mut cells: HashMap<(&'static str, u64), Cell> = HashMap::new();
         let mut false_positives = 0usize;
-        let mut wins = (0usize, 0usize, 0usize);
+        let mut wins = (0usize, 0usize);
         for r in &summary.records {
             let Some(m) = r.obligation.mutation else {
                 continue;
@@ -284,8 +282,7 @@ impl MutantsReport {
                 }
                 match r.engine {
                     "bmc" => wins.0 += 1,
-                    "kind" => wins.1 += 1,
-                    "pdr" => wins.2 += 1,
+                    "pdr" => wins.1 += 1,
                     _ => {}
                 }
             } else if !r.verdict.is_conclusive() {
@@ -342,8 +339,7 @@ impl MutantsReport {
             discarded_dups: batch.discarded_dups,
             exhausted: batch.exhausted.clone(),
             wins_bmc: wins.0,
-            wins_kind: wins.1,
-            wins_pdr: wins.2,
+            wins_pdr: wins.1,
         }
     }
 
@@ -424,7 +420,6 @@ impl MutantsReport {
             .field("detection_rate", self.detection_rate())
             .field("floor", self.floor)
             .field("wins_bmc", self.wins_bmc as u64)
-            .field("wins_kind", self.wins_kind as u64)
             .field("wins_pdr", self.wins_pdr as u64)
             .field("table", JsonValue::Array(rows))
             .field("regression", self.regression().is_some())

@@ -6,7 +6,7 @@
 //!
 //! * an A-QED applicability check on the clean build (Table 2a);
 //! * a clean-design G-QED proof obligation, raced between BMC and
-//!   k-induction (the "passes G-QED" rows);
+//!   IC3/PDR (the "passes G-QED" rows);
 //! * per catalogued bug: a G-QED check at the bug's evaluation bound, a
 //!   conventional-assertion check, and — on non-interfering designs
 //!   only — an A-QED check (Table 2b).
@@ -57,12 +57,13 @@ pub enum ObligationKind {
         bound: u32,
     },
     /// Clean-design proof: race bounded G-QED BMC (up to `bound`) against
-    /// k-induction (up to depth `max_k`); first conclusive engine wins and
-    /// cancels the other.
+    /// IC3/PDR (under its query cap); a violation or a PDR proof settles
+    /// the obligation and cancels the other engine.
     ProveClean {
         /// BMC bound for the racing bounded engine.
         bound: u32,
-        /// Depth limit for the racing k-induction engine.
+        /// Induction depth limit. No portfolio engine reads it; it stays
+        /// because the wire format and the verdict-store key carry it.
         max_k: u32,
     },
     /// Test-only: a job whose body panics, exercising `catch_unwind`
@@ -152,7 +153,7 @@ pub fn enumerate_obligations(flows: FlowFilter, design_filter: &[String]) -> Vec
                 expect_violation: Some(entry.interfering),
             });
         }
-        // Clean-design G-QED proof obligation (raced BMC vs k-induction).
+        // Clean-design G-QED proof obligation (raced BMC vs PDR).
         if flows.gqed {
             out.push(Obligation {
                 id: format!("{}/clean/prove", entry.name),

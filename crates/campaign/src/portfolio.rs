@@ -1,11 +1,11 @@
 //! Proof-engine identities for the clean-design portfolio.
 //!
-//! Clean-design obligations are discharged by an N-way *portfolio*: the
-//! selected engines run concurrently on the shared [`gqed_ir::Model`],
-//! the first conclusive verdict cancels the rest through the cooperative
-//! interrupt flag, and an inconclusive engine drops out without
-//! cancelling anyone. This module names the engines and parses the CLI's
-//! `--engines` selection; the racing itself lives in
+//! Clean-design obligations are discharged by a *portfolio*: the
+//! selected engines (bounded BMC and IC3/PDR) run concurrently on the
+//! shared [`gqed_ir::Model`], a settling verdict cancels the other
+//! through the cooperative interrupt flag, and an inconclusive PDR drops
+//! out without cancelling BMC. This module names the engines and parses
+//! the CLI's `--engines` selection; the racing itself lives in
 //! [`runner`](crate::runner).
 
 /// One proof engine the portfolio can field on a clean-design obligation.
@@ -15,13 +15,10 @@ pub enum EngineId {
     /// violations within the bound and the only engine that can certify
     /// `clean@bound`; never proves unbounded safety.
     Bmc,
-    /// k-induction up to the obligation's `max_k`. Proves unbounded
-    /// safety when the property is inductive at small depth; returns
-    /// `Unknown` (and drops out of the race) when it is not.
-    KInduction,
     /// IC3/PDR ([`gqed_pdr`]). Discovers a strengthening inductive
-    /// invariant frame by frame, so it can prove properties k-induction
-    /// gives up on — at a higher per-query cost.
+    /// invariant frame by frame, so it proves unbounded safety where
+    /// plain k-induction gives up; returns `Unknown` (and drops out of
+    /// the race) at its query cap.
     Pdr,
 }
 
@@ -31,7 +28,6 @@ impl EngineId {
     pub fn name(self) -> &'static str {
         match self {
             EngineId::Bmc => "bmc",
-            EngineId::KInduction => "kind",
             EngineId::Pdr => "pdr",
         }
     }
@@ -40,15 +36,14 @@ impl EngineId {
     pub fn parse(s: &str) -> Result<EngineId, String> {
         match s {
             "bmc" => Ok(EngineId::Bmc),
-            "kind" | "k-induction" | "kinduction" => Ok(EngineId::KInduction),
             "pdr" | "ic3" => Ok(EngineId::Pdr),
             other => Err(format!(
-                "unknown engine '{other}' (expected a comma-separated subset of: bmc, kind, pdr)"
+                "unknown engine '{other}' (expected a comma-separated subset of: bmc, pdr)"
             )),
         }
     }
 
-    /// Parses a comma-separated engine list (`bmc,kind,pdr`). Whitespace
+    /// Parses a comma-separated engine list (`bmc,pdr`). Whitespace
     /// around names is ignored and duplicates collapse; an empty list is
     /// an error.
     pub fn parse_list(s: &str) -> Result<Vec<EngineId>, String> {
@@ -64,15 +59,15 @@ impl EngineId {
             }
         }
         if engines.is_empty() {
-            return Err("empty engine list (expected e.g. 'bmc,kind,pdr')".to_string());
+            return Err("empty engine list (expected e.g. 'bmc,pdr')".to_string());
         }
         Ok(engines)
     }
 }
 
-/// The default portfolio: every engine.
+/// The default portfolio: both engines.
 pub fn default_portfolio() -> Vec<EngineId> {
-    vec![EngineId::Bmc, EngineId::KInduction, EngineId::Pdr]
+    vec![EngineId::Bmc, EngineId::Pdr]
 }
 
 /// Per-property SAT-query cap on the portfolio's PDR side.
@@ -105,7 +100,7 @@ mod tests {
     #[test]
     fn parses_names_and_aliases() {
         assert_eq!(EngineId::parse("bmc"), Ok(EngineId::Bmc));
-        assert_eq!(EngineId::parse("kind"), Ok(EngineId::KInduction));
+        assert!(EngineId::parse("kind").is_err());
         assert_eq!(EngineId::parse("ic3"), Ok(EngineId::Pdr));
         assert!(EngineId::parse("cegar").is_err());
     }
@@ -116,23 +111,17 @@ mod tests {
             EngineId::parse_list(" bmc , pdr, bmc "),
             Ok(vec![EngineId::Bmc, EngineId::Pdr])
         );
-        assert_eq!(EngineId::parse_list("kind"), Ok(vec![EngineId::KInduction]));
+        assert_eq!(EngineId::parse_list("pdr"), Ok(vec![EngineId::Pdr]));
         assert!(EngineId::parse_list("").is_err());
         assert!(EngineId::parse_list("bmc,nope").is_err());
         let err = EngineId::parse_list("bmc,nope").unwrap_err();
-        assert!(
-            err.contains("nope") && err.contains("bmc, kind, pdr"),
-            "{err}"
-        );
+        assert!(err.contains("nope") && err.contains("bmc, pdr"), "{err}");
     }
 
     #[test]
     fn default_portfolio_races_everything() {
         let d = default_portfolio();
-        assert_eq!(d.len(), 3);
-        assert!(d.contains(&EngineId::Bmc));
-        assert!(d.contains(&EngineId::KInduction));
-        assert!(d.contains(&EngineId::Pdr));
+        assert_eq!(d, vec![EngineId::Bmc, EngineId::Pdr]);
     }
 
     #[test]

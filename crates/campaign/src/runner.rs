@@ -18,12 +18,12 @@
 //! crash-isolated worker process and reports back an outcome the loop
 //! settles through the same bookkeeping.
 //!
-//! Clean-design proof obligations run an N-way engine *portfolio*
-//! ([`CampaignConfig::engines`]): bounded BMC, k-induction and IC3/PDR
-//! run concurrently sharing one prebuilt model and one cancellation
-//! flag, and the first engine to reach a *conclusive* result raises the
-//! flag, interrupting the others mid-search. An inconclusive outcome
-//! (`Unknown`) drops that engine out without cancelling the race — a
+//! Clean-design proof obligations run an engine *portfolio*
+//! ([`CampaignConfig::engines`]): bounded BMC and IC3/PDR run
+//! concurrently sharing one prebuilt model and one cancellation flag,
+//! and the first engine to reach a *conclusive* result raises the flag,
+//! interrupting the other mid-search. An inconclusive PDR outcome
+//! (`Unknown`) drops it out without cancelling the race — a
 //! bounded-clean certificate from the BMC side is still worth waiting
 //! for. When the portfolio is exactly `[bmc]` the obligation runs on the
 //! plain session path instead (fully deterministic certificates, used by
@@ -62,7 +62,7 @@ use gqed_core::{
 use gqed_ha::{all_designs, Design};
 use gqed_ir::Model;
 use gqed_pdr::{prove_pdr_limited, PdrOptions, PdrStats, PdrVerdict};
-use gqed_sat::{luby, SolveOutcome, Solver};
+use gqed_sat::{luby, Solver};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -204,15 +204,17 @@ pub enum JobVerdict {
         /// The bound that was exhausted.
         bound: u32,
     },
-    /// Proven unreachable at every depth by k-induction.
+    /// Proven unreachable at every depth by IC3/PDR.
     Proven {
-        /// Deepest induction depth used across the properties.
+        /// Deepest PDR frame at which an inductive invariant closed,
+        /// across the properties.
         k: u32,
     },
-    /// k-induction gave up without the BMC side being able to certify a
-    /// bound either (only possible when limits stopped the BMC side).
+    /// PDR gave up (query cap, or an unconfirmed falsification) without
+    /// the BMC side being able to certify a bound either (only possible
+    /// when limits stopped the BMC side, or BMC was not fielded).
     Unknown {
-        /// The exhausted induction depth limit.
+        /// PDR's frame depth when it gave up.
         max_k: u32,
     },
     /// Every attempt timed out, budgets exhausted through the Luby
@@ -301,7 +303,7 @@ pub struct JobRecord {
     pub attempts: u32,
     /// Total wall-clock across all attempts.
     pub wall: Duration,
-    /// Which engine produced the verdict: `bmc`, `kind`, `pdr`, or `-`.
+    /// Which engine produced the verdict: `bmc`, `pdr`, or `-`.
     pub engine: &'static str,
     /// BMC engine statistics of the deciding run, when available. CNF
     /// sizes are cumulative over the incremental unrolling, so
@@ -336,7 +338,7 @@ pub struct CampaignSummary {
     pub violations: usize,
     /// Conclusive non-violations (bounded-clean or proven).
     pub passes: usize,
-    /// Inconclusive k-induction outcomes.
+    /// Inconclusive PDR outcomes.
     pub unknowns: usize,
     /// Obligations that exhausted every escalation attempt.
     pub timeouts: usize,
@@ -380,8 +382,6 @@ pub struct CampaignSummary {
     pub frames_solved: u64,
     /// Verdicts won by the bounded BMC engine.
     pub wins_bmc: usize,
-    /// Verdicts won by the k-induction engine.
-    pub wins_kind: usize,
     /// Verdicts won by the IC3/PDR engine.
     pub wins_pdr: usize,
 }
@@ -438,7 +438,7 @@ impl CampaignSummary {
 
 /// Result of one attempt at one obligation: the verdict, the BMC side's
 /// solver statistics (when a BMC session ran), the winning engine's name
-/// ("bmc", "kind", "pdr", or "-"), and the PDR side's statistics (when a
+/// ("bmc", "pdr", or "-"), and the PDR side's statistics (when a
 /// PDR side ran, regardless of which engine won).
 enum AttemptResult {
     Verdict(
@@ -768,7 +768,6 @@ impl<'a> Campaign<'a> {
         for r in &records {
             match r.engine {
                 "bmc" => summary.wins_bmc += 1,
-                "kind" => summary.wins_kind += 1,
                 "pdr" => summary.wins_pdr += 1,
                 _ => {}
             }
@@ -811,7 +810,6 @@ impl<'a> Campaign<'a> {
                 .field("session_resumes", summary.session_resumes)
                 .field("frames_solved", summary.frames_solved)
                 .field("wins_bmc", summary.wins_bmc)
-                .field("wins_kind", summary.wins_kind)
                 .field("wins_pdr", summary.wins_pdr)
                 .field(
                     "journal_faults",
@@ -1393,7 +1391,7 @@ fn run_attempt(
         ObligationKind::Check { kind, bound } => {
             run_session_check(obl, *kind, *bound, limits, config, cache, session_slot)
         }
-        ObligationKind::ProveClean { bound, max_k } => {
+        ObligationKind::ProveClean { bound, .. } => {
             if config.engines.iter().any(|e| *e != EngineId::Bmc) {
                 let model = resolve_model(obl, CheckKind::GQed, config, cache);
                 let session = session_slot.take().unwrap_or_else(|| {
@@ -1403,7 +1401,7 @@ fn run_attempt(
                 });
                 let before = session.frame_queries();
                 let (result, session) =
-                    portfolio_prove_clean(&model, session, *max_k, limits, &config.engines);
+                    portfolio_prove_clean(&model, session, limits, &config.engines);
                 let frames = session.frame_queries() - before;
                 *session_slot = Some(session);
                 (result, frames)
@@ -1474,37 +1472,35 @@ fn join_side<T>(r: std::thread::Result<T>) -> T {
     }
 }
 
-/// What an auxiliary (non-BMC) portfolio side concluded.
-enum AuxSide {
+/// What the PDR side of a portfolio concluded.
+enum PdrSide {
     Violation { property: String, cycles: usize },
     Proven { k: u32 },
     Unknown { max_k: u32 },
     Stopped(StopReason),
 }
 
-/// First-proof-wins portfolio of engine sides over the clean design's
-/// G-QED properties, selected by `engines`: bounded BMC (the caller's
-/// possibly-resumed [`CheckSession`]), k-induction, and IC3/PDR. All
-/// sides share one prebuilt [`Model`] — none re-runs wrapper synthesis —
-/// and one cancellation flag wired through
-/// [`gqed_sat::Solver::set_interrupt`].
+/// First-proof-wins portfolio over the clean design's G-QED properties,
+/// selected by `engines`: bounded BMC (the caller's possibly-resumed
+/// [`CheckSession`]) and IC3/PDR. Both sides share one prebuilt
+/// [`Model`] — neither re-runs wrapper synthesis — and one cancellation
+/// flag wired through [`gqed_sat::Solver::set_interrupt`].
 ///
 /// Cancellation is asymmetric, per the portfolio contract: a side raises
 /// the flag only on a verdict that *settles* the obligation — a
-/// violation from any side, or a proof (`Proven`) from an auxiliary
-/// side. A bounded `Clean` from the BMC side does NOT cancel: it is a
-/// certificate only up to the bound, and a still-running prover may yet
-/// upgrade it to `Proven`. An `Unknown` side simply drops out.
+/// violation from either side, or a proof from PDR. A bounded `Clean`
+/// from the BMC side does NOT cancel: it is a certificate only up to the
+/// bound, and a still-running PDR may yet upgrade it to `Proven`. A PDR
+/// `Unknown` simply drops out.
 ///
 /// The merge is deterministic given the sides' outcomes (which are
-/// themselves deterministic under the PDR query cap): violations first,
-/// then proofs in the fixed order [kind, pdr], then the bounded
-/// certificate, then stop reasons. The session is always handed back so
-/// a stopped attempt's retry resumes mid-unrolling.
+/// themselves deterministic under the PDR query cap), one fixed priority:
+/// BMC violation, PDR violation, PDR proof, BMC `clean@bound`, resource
+/// stops, PDR `Unknown`. The session is always handed back so a stopped
+/// attempt's retry resumes mid-unrolling.
 fn portfolio_prove_clean(
     model: &Arc<Model>,
     session: CheckSession,
-    max_k: u32,
     limits: &BmcLimits,
     engines: &[EngineId],
 ) -> (AttemptResult, CheckSession) {
@@ -1517,7 +1513,7 @@ fn portfolio_prove_clean(
     };
     let has = |e: EngineId| engines.contains(&e);
 
-    let ((bmc_status, session), kind_out, pdr_out) = std::thread::scope(|s| {
+    let ((bmc_status, session), pdr_out) = std::thread::scope(|s| {
         let bmc = if has(EngineId::Bmc) {
             let bmc_limits = side_limits.clone();
             let bmc_cancel = Arc::clone(&cancel);
@@ -1525,7 +1521,7 @@ fn portfolio_prove_clean(
             Ok(s.spawn(move || {
                 let r = session.run(&bmc_limits);
                 // Only a violation settles the obligation; a bounded
-                // Clean must wait for the provers.
+                // Clean must wait for PDR.
                 if matches!(&r, CheckStatus::Done(o)
                     if matches!(o.verdict, Verdict::Violation { .. }))
                 {
@@ -1536,23 +1532,12 @@ fn portfolio_prove_clean(
         } else {
             Err(session)
         };
-        let kind = has(EngineId::KInduction).then(|| {
-            let kind_limits = side_limits.clone();
-            let kind_cancel = Arc::clone(&cancel);
-            s.spawn(move || {
-                let r = run_kind_side(model, max_k, &kind_limits);
-                if matches!(r, AuxSide::Violation { .. } | AuxSide::Proven { .. }) {
-                    kind_cancel.store(true, Ordering::Relaxed);
-                }
-                r
-            })
-        });
         let pdr = has(EngineId::Pdr).then(|| {
             let pdr_limits = side_limits.clone();
             let pdr_cancel = Arc::clone(&cancel);
             s.spawn(move || {
                 let r = run_pdr_side(model, &pdr_limits);
-                if matches!(r.0, AuxSide::Violation { .. } | AuxSide::Proven { .. }) {
+                if matches!(r.0, PdrSide::Violation { .. } | PdrSide::Proven { .. }) {
                     pdr_cancel.store(true, Ordering::Relaxed);
                 }
                 r
@@ -1582,13 +1567,11 @@ fn portfolio_prove_clean(
             }
             Err(session) => (None, session),
         };
-        let kind_out = kind.map(|h| join_side(h.join()));
         let pdr_out = pdr.map(|h| join_side(h.join()));
         done.store(true, Ordering::Relaxed);
-        (bmc_out, kind_out, pdr_out)
+        (bmc_out, pdr_out)
     });
 
-    // Decompose the sides once, then merge by fixed priority.
     let (pdr_side, pdr_stats) = match pdr_out {
         Some((side, stats)) => (Some(side), Some(Box::new(stats))),
         None => (None, None),
@@ -1600,97 +1583,42 @@ fn portfolio_prove_clean(
         }
         None => (None, None, None),
     };
-    let aux: [(&'static str, Option<&AuxSide>); 2] =
-        [("kind", kind_out.as_ref()), ("pdr", pdr_side.as_ref())];
-
-    // 1. A BMC violation is the shallowest counterexample (BMC searches
-    //    frame by frame) — it outranks everything.
-    if let Some(Verdict::Violation { property, cycles }) = bmc_verdict {
-        let result = AttemptResult::Verdict(
-            JobVerdict::Violation { property, cycles },
-            bmc_stats,
-            "bmc",
-            pdr_stats,
-        );
-        return (result, session);
-    }
-    // 2. An auxiliary side's violation, in fixed side order.
-    for (name, side) in aux {
-        if let Some(AuxSide::Violation { property, cycles }) = side {
-            let result = AttemptResult::Verdict(
-                JobVerdict::Violation {
-                    property: property.clone(),
-                    cycles: *cycles,
-                },
-                bmc_stats,
-                name,
-                pdr_stats,
-            );
-            return (result, session);
+    let (verdict, engine) = match (bmc_verdict, pdr_side) {
+        // A BMC violation is the shallowest counterexample (BMC searches
+        // frame by frame) — it outranks everything.
+        (Some(Verdict::Violation { property, cycles }), _) => {
+            (JobVerdict::Violation { property, cycles }, "bmc")
         }
-    }
-    // 3. An unbounded proof outranks the bounded certificate.
-    for (name, side) in aux {
-        if let Some(AuxSide::Proven { k }) = side {
-            let result =
-                AttemptResult::Verdict(JobVerdict::Proven { k: *k }, bmc_stats, name, pdr_stats);
-            return (result, session);
+        (_, Some(PdrSide::Violation { property, cycles })) => {
+            (JobVerdict::Violation { property, cycles }, "pdr")
         }
-    }
-    // 4. The bounded certificate.
-    if let Some(Verdict::CleanUpTo(b)) = bmc_verdict {
-        let result =
-            AttemptResult::Verdict(JobVerdict::Clean { bound: b }, bmc_stats, "bmc", pdr_stats);
-        return (result, session);
-    }
-    // 5. No side concluded. A genuine resource stop (not the
-    //    mutual-cancellation echo) means the attempt should escalate and
-    //    retry; otherwise the strongest inconclusive outcome is an
-    //    auxiliary Unknown — final only when the stop was the outer
-    //    interrupt, which the worker detects and converts to Cancelled.
-    let stops = bmc_stop
-        .into_iter()
-        .chain(aux.iter().filter_map(|(_, side)| match side {
-            Some(AuxSide::Stopped(r)) => Some(*r),
-            _ => None,
-        }));
-    for r in stops {
-        if r != StopReason::Interrupted {
-            return (AttemptResult::Stopped(r), session);
-        }
-    }
-    for (name, side) in aux {
-        if let Some(AuxSide::Unknown { max_k }) = side {
-            let result = AttemptResult::Verdict(
-                JobVerdict::Unknown { max_k: *max_k },
-                bmc_stats,
-                name,
-                pdr_stats,
-            );
-            return (result, session);
-        }
-    }
-    (AttemptResult::Stopped(StopReason::Interrupted), session)
-}
-
-/// The k-induction side of a clean-design portfolio: proves every G-QED
-/// property of the prebuilt model, shallow depths first per property.
-fn run_kind_side(model: &Model, max_k: u32, limits: &BmcLimits) -> AuxSide {
-    let mut deepest = 0u32;
-    for i in 0..model.ts.bads.len() {
-        match gqed_bmc::prove_k_induction_limited(&model.ctx, &model.ts, i, max_k, limits) {
-            gqed_bmc::ProofResult::Proven { k } => deepest = deepest.max(k),
-            gqed_bmc::ProofResult::Falsified(t) => {
-                return AuxSide::Violation {
-                    property: t.bad_name.clone(),
-                    cycles: t.len(),
-                }
+        // An unbounded proof outranks the bounded certificate.
+        (_, Some(PdrSide::Proven { k })) => (JobVerdict::Proven { k }, "pdr"),
+        (Some(Verdict::CleanUpTo(bound)), _) => (JobVerdict::Clean { bound }, "bmc"),
+        // No side concluded. A genuine resource stop (not the
+        // mutual-cancellation echo) means the attempt should escalate and
+        // retry; otherwise PDR's Unknown is the answer — final only when
+        // the stop was the outer interrupt, which the worker detects and
+        // converts to Cancelled.
+        (None, pdr_side) => {
+            let pdr_stop = match pdr_side {
+                Some(PdrSide::Stopped(r)) => Some(r),
+                _ => None,
+            };
+            let mut stops = bmc_stop.into_iter().chain(pdr_stop);
+            if let Some(r) = stops.find(|&r| r != StopReason::Interrupted) {
+                return (AttemptResult::Stopped(r), session);
             }
-            gqed_bmc::ProofResult::Unknown { max_k } => return AuxSide::Unknown { max_k },
-            gqed_bmc::ProofResult::Cancelled { reason, .. } => return AuxSide::Stopped(reason),
+            match pdr_side {
+                Some(PdrSide::Unknown { max_k }) => (JobVerdict::Unknown { max_k }, "pdr"),
+                _ => return (AttemptResult::Stopped(StopReason::Interrupted), session),
+            }
         }
-    }
-    AuxSide::Proven { k: deepest }
+    };
+    (
+        AttemptResult::Verdict(verdict, bmc_stats, engine, pdr_stats),
+        session,
+    )
 }
 
 /// The IC3/PDR side of a clean-design portfolio: proves every G-QED
@@ -1703,7 +1631,7 @@ fn run_kind_side(model: &Model, max_k: u32, limits: &BmcLimits) -> AuxSide {
 /// obligation — the confirming trace supplies the property name and
 /// cycle count. An unconfirmed falsification is downgraded to `Unknown`
 /// (it indicates an engine defect, never a verdict).
-fn run_pdr_side(model: &Model, limits: &BmcLimits) -> (AuxSide, PdrStats) {
+fn run_pdr_side(model: &Model, limits: &BmcLimits) -> (PdrSide, PdrStats) {
     let opts = PdrOptions {
         max_queries: Some(PDR_QUERY_CAP),
         ..PdrOptions::default()
@@ -1719,21 +1647,21 @@ fn run_pdr_side(model: &Model, limits: &BmcLimits) -> (AuxSide, PdrStats) {
                 let mut engine = BmcEngine::new(&model.ctx, &model.ts);
                 return match engine.check_bad_at_limited(i, depth, limits) {
                     Ok(Some(t)) => (
-                        AuxSide::Violation {
+                        PdrSide::Violation {
                             property: t.bad_name.clone(),
                             cycles: t.len(),
                         },
                         agg,
                     ),
-                    Ok(None) => (AuxSide::Unknown { max_k: depth }, agg),
-                    Err(reason) => (AuxSide::Stopped(reason), agg),
+                    Ok(None) => (PdrSide::Unknown { max_k: depth }, agg),
+                    Err(reason) => (PdrSide::Stopped(reason), agg),
                 };
             }
-            PdrVerdict::Unknown { frames } => return (AuxSide::Unknown { max_k: frames }, agg),
-            PdrVerdict::Cancelled { reason, .. } => return (AuxSide::Stopped(reason), agg),
+            PdrVerdict::Unknown { frames } => return (PdrSide::Unknown { max_k: frames }, agg),
+            PdrVerdict::Cancelled { reason, .. } => return (PdrSide::Stopped(reason), agg),
         }
     }
-    (AuxSide::Proven { k: deepest }, agg)
+    (PdrSide::Proven { k: deepest }, agg)
 }
 
 /// Accumulates one property's PDR statistics into a per-obligation
@@ -1783,23 +1711,10 @@ fn run_debug_exhaust(limits: &BmcLimits) -> AttemptResult {
             }
         }
     }
-    if let Some(flag) = &limits.interrupt {
-        s.set_interrupt(Arc::clone(flag));
-    }
-    if let Some(d) = limits.deadline {
-        s.set_deadline(d);
-    }
-    if let Some(m) = limits.mem_limit {
-        s.set_memory_limit(m);
-    }
-    match s.solve_bounded(&[], limits.budget.unwrap_or(u64::MAX)) {
-        SolveOutcome::Sat | SolveOutcome::Unsat => {
-            // Only reachable with an effectively unlimited budget.
-            AttemptResult::Verdict(JobVerdict::Clean { bound: 0 }, None, "-", None)
-        }
-        stop => {
-            AttemptResult::Stopped(StopReason::from_outcome(stop).expect("verdicts handled above"))
-        }
+    match limits.solve(&mut s, &[]) {
+        // Only reachable with an effectively unlimited budget.
+        Ok(_) => AttemptResult::Verdict(JobVerdict::Clean { bound: 0 }, None, "-", None),
+        Err(reason) => AttemptResult::Stopped(reason),
     }
 }
 

@@ -1,61 +1,40 @@
 //! Satellite: campaign verdicts are independent of worker count.
 //!
-//! `--jobs 4` must yield the same (obligation → verdict, counterexample
-//! length) pairs as `--jobs 1`. Scheduling order differs wildly between
-//! the two, so this exercises the result-slot indexing and the absence of
-//! cross-job state.
+//! `--jobs 4` must yield exactly the same records as `--jobs 1`.
+//! Scheduling order differs wildly between the two, so this exercises the
+//! result-slot indexing and the absence of cross-job state. The campaign
+//! runs bounded BMC only: relu's clean proof obligation is out of PDR's
+//! reach, so a PDR side would spend its full query cap re-deriving
+//! `Unknown` in every run (~30 s each) without changing any verdict. The
+//! racing portfolio's worker-count determinism is pinned on the
+//! PDR-winnable design by `portfolio_win.rs` instead.
 
 use gqed_campaign::{
     enumerate_obligations, Campaign, CampaignConfig, CampaignSummary, EngineId, FlowFilter,
-    Telemetry,
+    JobVerdict, Telemetry,
 };
 
-fn run(jobs: usize, engines: Vec<EngineId>) -> CampaignSummary {
+fn run(jobs: usize) -> CampaignSummary {
     let obls = enumerate_obligations(FlowFilter::all(), &["relu".to_string()]);
     assert!(!obls.is_empty());
     Campaign::new(&obls)
         .config(
             CampaignConfig::default()
                 .with_jobs(jobs)
-                .with_engines(engines),
+                .with_engines(vec![EngineId::Bmc]),
         )
         .run(&Telemetry::null())
 }
 
-/// (id, normalized verdict) pairs — the soundness-relevant content.
-fn normalized(s: &CampaignSummary) -> Vec<(String, String)> {
-    s.records
-        .iter()
-        .map(|r| (r.obligation.id.clone(), r.verdict.normalized()))
-        .collect()
-}
-
-// The cross-worker tests race BMC against k-induction only: relu's
-// clean proof obligation is out of PDR's reach, so a PDR side would
-// spend its full query cap re-deriving `Unknown` in every run (~30 s
-// each) without changing any verdict. The full three-engine portfolio's
-// worker-count determinism is pinned on the PDR-winnable design by
-// `portfolio_win.rs` instead.
-fn race_engines() -> Vec<EngineId> {
-    vec![EngineId::Bmc, EngineId::KInduction]
-}
-
 #[test]
-fn jobs4_matches_jobs1() {
-    let seq = run(1, race_engines());
-    let par = run(4, race_engines());
+fn campaign_is_fully_deterministic_across_worker_counts() {
+    // Every verdict (not just its normalization) must match exactly,
+    // including which engine decided, the counterexample lengths and the
+    // bounded-clean bound.
+    let seq = run(1);
+    let par = run(4);
     assert!(seq.is_success(), "sequential campaign failed: {seq:?}");
     assert!(par.is_success(), "parallel campaign failed: {par:?}");
-    assert_eq!(normalized(&seq), normalized(&par));
-}
-
-#[test]
-fn non_racing_campaign_is_fully_deterministic() {
-    // With the portfolio reduced to bounded BMC every verdict (not just
-    // its normalization) must match exactly, including which engine
-    // decided and the bounded-clean bound.
-    let a = run(1, vec![EngineId::Bmc]);
-    let b = run(4, vec![EngineId::Bmc]);
     let exact = |s: &CampaignSummary| {
         s.records
             .iter()
@@ -68,25 +47,11 @@ fn non_racing_campaign_is_fully_deterministic() {
             })
             .collect::<Vec<_>>()
     };
-    assert_eq!(exact(&a), exact(&b));
-}
-
-#[test]
-fn counterexample_lengths_are_stable_across_worker_counts() {
-    let seq = run(1, race_engines());
-    let par = run(4, race_engines());
-    let cex = |s: &CampaignSummary| {
-        s.records
+    assert_eq!(exact(&seq), exact(&par));
+    assert!(
+        seq.records
             .iter()
-            .filter_map(|r| match &r.verdict {
-                gqed_campaign::JobVerdict::Violation { property, cycles } => {
-                    Some((r.obligation.id.clone(), property.clone(), *cycles))
-                }
-                _ => None,
-            })
-            .collect::<Vec<_>>()
-    };
-    let seq_cex = cex(&seq);
-    assert!(!seq_cex.is_empty(), "relu bug checks must find violations");
-    assert_eq!(seq_cex, cex(&par));
+            .any(|r| matches!(r.verdict, JobVerdict::Violation { .. })),
+        "relu bug checks must find violations"
+    );
 }

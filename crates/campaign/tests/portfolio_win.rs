@@ -1,14 +1,15 @@
-//! Tentpole acceptance: the three-engine portfolio settles a clean-design
-//! proof obligation that k-induction alone cannot.
+//! Acceptance: the `bmc,pdr` portfolio settles a clean-design proof
+//! obligation that k-induction cannot.
 //!
 //! The seeded design is `bitflip`: its G-QED consistency properties are
-//! not inductive at the campaign's `max_k = 8` (the complement relation
-//! between the duplicated copies needs a strengthening invariant over the
-//! transaction-control state), so the k-induction side returns `Unknown`
-//! and drops out — while the IC3/PDR side discovers the invariant and
-//! upgrades the obligation to `Proven`, well inside the deterministic
-//! query cap. These tests pin that win, its worker-count independence,
-//! and the byte-identity of resuming an interrupted portfolio campaign.
+//! not inductive at `max_k = 8` (the complement relation between the
+//! duplicated copies needs a strengthening invariant over the
+//! transaction-control state), so k-induction returns `Unknown` — while
+//! the portfolio's IC3/PDR side discovers the invariant and upgrades the
+//! obligation to `Proven`, well inside the deterministic query cap.
+//! These tests pin that win, the racing path's worker-count
+//! independence, and the byte-identity of resuming an interrupted
+//! portfolio campaign.
 
 use gqed_bmc::{prove_k_induction_limited, BmcLimits, ProofResult};
 use gqed_campaign::{
@@ -56,9 +57,8 @@ fn exact(s: &CampaignSummary) -> Vec<(String, String, &'static str)> {
         .collect()
 }
 
-/// Satellite: the unit-level demonstration that PDR proves what
-/// k-induction gives up on — the same engines the portfolio fields, run
-/// directly on one property of the bitflip G-QED model.
+/// The unit-level demonstration that PDR proves what k-induction gives
+/// up on, run directly on one property of the bitflip G-QED model.
 #[test]
 fn kind_unknown_but_pdr_proves_on_bitflip() {
     let entry = all_designs()
@@ -92,7 +92,7 @@ fn kind_unknown_but_pdr_proves_on_bitflip() {
     assert!(out.stats.queries <= PDR_QUERY_CAP);
 }
 
-/// Acceptance: the full three-engine portfolio settles the bitflip proof
+/// Acceptance: the default portfolio settles the bitflip proof
 /// obligation as `Proven` via the PDR engine, identically at one and four
 /// workers — and an interrupted journaled portfolio campaign, resumed,
 /// reproduces the uninterrupted summary byte for byte whether the proof
@@ -112,8 +112,8 @@ fn portfolio_proves_bitflip_deterministically_and_survives_resume() {
     assert!(reference.is_success(), "reference failed: {reference:?}");
     assert_eq!(reference.mismatches, 0);
 
-    // The tentpole win: k-induction alone cannot settle this obligation
-    // (pinned by `kind_unknown_but_pdr_proves_on_bitflip`), yet the
+    // The win: k-induction cannot settle this obligation (pinned by
+    // `kind_unknown_but_pdr_proves_on_bitflip`), yet the
     // portfolio reports it Proven — decided by the PDR engine, with the
     // invariant having passed its independent re-check and the query
     // budget respected on every property.

@@ -34,7 +34,6 @@ use gqed_logic::{Cnf, Tseitin};
 use gqed_sat::{SolveOutcome, Solver, SolverStats};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 /// A cube over the flattened state bits: each literal is `±(g + 1)` for
 /// global state-bit index `g`, positive meaning the bit is 1. Kept sorted
@@ -200,10 +199,11 @@ pub fn prove_pdr(
     prove_pdr_limited(ctx, ts, bad_index, opts, &BmcLimits::default())
 }
 
-/// [`prove_pdr`] under resource limits: every SAT query runs with the
-/// limits' conflict budget, and the interrupt flag / deadline / memory
-/// limit are armed on the solver for the whole run (plus polled between
-/// obligations, so cancellation lands promptly even outside a query).
+/// [`prove_pdr`] under resource limits: every SAT query runs armed with
+/// the limits' conflict budget, interrupt flag, deadline and memory
+/// limit ([`BmcLimits::solve`]); the flag and deadline are also polled
+/// between obligations, so cancellation lands promptly even outside a
+/// query.
 pub fn prove_pdr_limited(
     ctx: &Context,
     ts: &TransitionSystem,
@@ -451,18 +451,8 @@ impl<'a> Pdr<'a> {
         bad_index: usize,
         limits: &'a BmcLimits,
     ) -> Pdr<'a> {
-        let mut enc = TsEncoding::build(ctx, ts, bad_index);
-        if let Some(flag) = &limits.interrupt {
-            enc.solver.set_interrupt(Arc::clone(flag));
-        }
-        if let Some(d) = limits.deadline {
-            enc.solver.set_deadline(d);
-        }
-        if let Some(m) = limits.mem_limit {
-            enc.solver.set_memory_limit(m);
-        }
         Pdr {
-            enc,
+            enc: TsEncoding::build(ctx, ts, bad_index),
             acts: vec![0],
             frames: vec![Vec::new()],
             stats: PdrStats::default(),
@@ -483,15 +473,7 @@ impl<'a> Pdr<'a> {
 
     fn solve(&mut self, assumps: &[i32]) -> Result<bool, StopReason> {
         self.stats.queries += 1;
-        match self
-            .enc
-            .solver
-            .solve_bounded(assumps, self.limits.budget.unwrap_or(u64::MAX))
-        {
-            SolveOutcome::Sat => Ok(true),
-            SolveOutcome::Unsat => Ok(false),
-            stop => Err(StopReason::from_outcome(stop).expect("verdicts handled above")),
-        }
+        self.limits.solve(&mut self.enc.solver, assumps)
     }
 
     /// The full current-state assignment of the last SAT query, as a cube.
@@ -1029,6 +1011,7 @@ mod tests {
     #[test]
     fn pre_raised_interrupt_cancels_immediately() {
         use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
         let (ctx, ts) = lockstep();
         let flag = Arc::new(AtomicBool::new(true));
         let limits = BmcLimits {

@@ -34,7 +34,7 @@ const KNOBS: &[Flag] = &[
     ("--deadline-ms", VALUE),  // per-attempt deadline, Luby-escalated
     ("--budget", VALUE),       // per-attempt conflict budget, Luby-escalated
     ("--max-attempts", VALUE), // escalation attempts (default 4)
-    ("--engines", VALUE),      // clean-design portfolio from bmc,kind,pdr (default all)
+    ("--engines", VALUE),      // clean-design portfolio from bmc,pdr (default both)
 ];
 /// Knobs of a local solver process: `campaign`, `mutants`, `serve`.
 const LOCAL: &[Flag] = &[
@@ -158,6 +158,17 @@ const COMMANDS: &[Command] = &[
 ];
 
 fn main() {
+    // A closed stdout (`gqed list | head -1`) makes `println!` panic; end
+    // quietly instead, with the status a SIGPIPE death reports (128 + 13).
+    let report_panic = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload_as_str().is_some_and(|m| {
+            m.starts_with("failed printing to stdout") && m.contains("Broken pipe")
+        }) {
+            exit(141);
+        }
+        report_panic(info);
+    }));
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let command = argv
         .first()
@@ -800,8 +811,8 @@ fn cmd_campaign(args: &Args) {
         summary.mismatches
     );
     println!(
-        "engine wins: {} bmc, {} kind, {} pdr",
-        summary.wins_bmc, summary.wins_kind, summary.wins_pdr
+        "engine wins: {} bmc, {} pdr",
+        summary.wins_bmc, summary.wins_pdr
     );
     if args.has("--fleet") {
         println!(
@@ -848,8 +859,8 @@ fn cmd_mutants(args: &Args) {
     let report = MutantsReport::from_summary(&batch, &summary, floor);
     print!("{}", report.render_table());
     println!(
-        "engine wins: {} bmc, {} kind, {} pdr",
-        report.wins_bmc, report.wins_kind, report.wins_pdr
+        "engine wins: {} bmc, {} pdr",
+        report.wins_bmc, report.wins_pdr
     );
     if args.has("--store") {
         println!(

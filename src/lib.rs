@@ -56,7 +56,7 @@ pub use gqed_sat as sat;
 
 /// Convenience re-exports of the types most applications need.
 pub mod prelude {
-    pub use gqed_bmc::{prove_equivalent, prove_k_induction, BmcEngine, BmcResult, Trace};
+    pub use gqed_bmc::{prove_k_induction, BmcEngine, BmcResult, Trace};
     pub use gqed_core::{check_design, synthesize, CheckKind, CheckOutcome, QedConfig, Verdict};
     pub use gqed_ha::{all_designs, Design, DesignEntry, Driver};
     pub use gqed_ir::{to_btor2, unrolling_to_smt2, Context, Sim, TransitionSystem};

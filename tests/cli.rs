@@ -1,7 +1,7 @@
-//! The `gqed` command line: strict flag parsing and the catalogue bug
-//! hunt as a campaign filter.
+//! The `gqed` command line: strict flag parsing, the catalogue bug hunt
+//! as a campaign filter, and a quiet exit on a closed stdout.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn gqed(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_gqed"))
@@ -25,6 +25,7 @@ fn bad_flags_exit_2_with_one_line_naming_the_flag() {
             &["campaign", "relu", "--crash-budget", "2"],
             "--crash-budget",
         ),
+        (&["campaign", "relu", "--engines", "kind"], "--engines"),
     ];
     for &(args, flag) in cases {
         let out = gqed(args);
@@ -53,4 +54,20 @@ fn campaign_gqed_bmc_is_the_catalogue_bug_hunt() {
         assert_eq!(rows, 1, "expected one row for {}: {stdout}", bug.id);
     }
     assert!(!stdout.contains("MISMATCH"), "{stdout}");
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // The pipe's read end is gone before the child writes anything.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_gqed"))
+        .arg("list")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn gqed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
 }
