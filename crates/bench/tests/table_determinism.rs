@@ -52,7 +52,7 @@ fn table2_bytes_identical_under_forced_escalation() {
     let unlimited = render_table2(Some("relu"), 1, &Telemetry::null());
     // A conflict budget far below the hardest query forces every
     // non-trivial obligation through budget-exhausted stops and
-    // Luby-escalated retries; warm-start resumes pick each one up at the
+    // Luby-escalated retries; session resumes pick each one up at the
     // stopped frame. None of that may leak into the verdicts: same
     // violations, same counterexample lengths, same bytes.
     let escalated_config = CampaignConfig {
@@ -61,7 +61,6 @@ fn table2_bytes_identical_under_forced_escalation() {
         base_budget: Some(600),
         max_attempts: 16,
         engines: vec![EngineId::Bmc],
-        warm_start: true,
         ..CampaignConfig::default()
     };
     let escalated = render_table2_with(Some("relu"), &escalated_config, &Telemetry::null());

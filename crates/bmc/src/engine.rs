@@ -175,11 +175,11 @@ pub struct BmcStats {
     /// Cumulative wall-clock time spent inside this engine's check calls
     /// (encoding + solving + trace extraction).
     pub wall: Duration,
-    /// Cumulative number of per-frame queries solved by
-    /// [`BmcEngine::try_check_up_to`] over this engine's lifetime. A warm
-    /// resume does not re-query clean frames, so this counts real solving
-    /// work — the deterministic "frames solved from zero" metric the
-    /// bench regression gate compares cold vs. warm.
+    /// Cumulative number of per-frame queries issued by
+    /// [`BmcEngine::try_check_up_to`] over this engine's lifetime, a
+    /// query cut short by a limit included. A resume re-queries only the
+    /// frame it stopped on, never a verified one — the exact accounting
+    /// the bench regression gate checks.
     pub frame_queries: u64,
     /// SAT solver search statistics.
     pub solver: SolverStats,

@@ -1,18 +1,19 @@
-//! `gqed bench` — the cold-vs-warm pipeline benchmark.
+//! `gqed bench` — the campaign pipeline benchmark.
 //!
-//! Runs a fixed obligation suite twice under a deliberately tiny,
-//! Luby-escalated conflict budget (so every non-trivial obligation is
-//! stopped and retried at least once): once *cold* (`warm_start: false`,
-//! every attempt re-synthesizes, re-bitblasts and re-solves from frame 0)
-//! and once *warm* (model cache + resumable sessions). The report —
-//! rendered to `BENCH_pipeline.json` by the CLI — compares wall-clock,
-//! conflicts, propagations, peak clause-arena bytes and frames/second.
+//! Runs a fixed obligation suite once under a deliberately tiny,
+//! Luby-escalated conflict budget, so every non-trivial obligation is
+//! stopped and retried at least once: the model cache and the resumable
+//! sessions carry each retry. The report — rendered to
+//! `BENCH_pipeline.json` by the CLI — gives wall-clock, conflicts,
+//! propagations, peak clause-arena bytes and frames/second.
 //!
-//! Wall-clock is noisy on shared CI hardware, so the regression gate
-//! compares `frames_solved` instead: the exact number of per-frame BMC
-//! queries each pipeline issued. A warm pipeline never re-solves an
-//! already-verified frame, so `warm ≤ cold` must hold structurally; a
-//! violation of that inequality means the resume path re-did work.
+//! Wall-clock is noisy on shared CI hardware, so the regression gate is
+//! an exact work identity instead. The BMC engine counts every frame
+//! query it issues, and a resumed retry re-queries only the frame its
+//! predecessor stopped on, so an obligation settled at depth `d` after
+//! `a` attempts solved exactly `d + a − 1` frames. `frames_redone` sums
+//! each settled obligation's distance from that count; anything above 0
+//! means a retry re-did verified work.
 //!
 //! The report also carries a [`PdrProbe`]: deterministic IC3/PDR effort
 //! counters (blocked cubes, CTIs, frames, queries) from a fixed
@@ -22,7 +23,7 @@
 use crate::json::JsonValue;
 use crate::obligation::{enumerate_obligations, FlowFilter, Obligation};
 use crate::portfolio::{EngineId, PDR_QUERY_CAP};
-use crate::runner::{Campaign, CampaignConfig, CampaignSummary};
+use crate::runner::{Campaign, CampaignConfig, CampaignSummary, JobVerdict};
 use crate::telemetry::Telemetry;
 use gqed_bmc::BmcLimits;
 use gqed_core::{build_model, CheckKind};
@@ -42,12 +43,11 @@ fn bench_designs(quick: bool) -> Vec<String> {
     names.iter().map(|s| s.to_string()).collect()
 }
 
-/// The fixed obligation suite the bench solves in both modes: every
-/// bounded check of the bench designs. Clean-design proof obligations are
-/// excluded — their deepest queries need orders of magnitude more
-/// conflicts than the bench budget (the cold pipeline would spend the
-/// whole run re-solving one obligation), and they exercise the same
-/// session/cache machinery the bounded checks already cover.
+/// The fixed obligation suite the bench solves: every bounded check of
+/// the bench designs. Clean-design proof obligations are excluded —
+/// their deepest queries need orders of magnitude more conflicts than
+/// the bench budget, and they exercise the same session/cache machinery
+/// the bounded checks already cover.
 pub fn bench_obligations(quick: bool) -> Vec<Obligation> {
     enumerate_obligations(FlowFilter::all(), &bench_designs(quick))
         .into_iter()
@@ -55,26 +55,40 @@ pub fn bench_obligations(quick: bool) -> Vec<Obligation> {
         .collect()
 }
 
-/// The bench campaign configuration for one mode. One worker and no race
-/// keep both runs fully deterministic; the small base budget forces the
-/// escalation path the bench exists to measure.
-pub fn bench_config(warm_start: bool) -> CampaignConfig {
+/// The bench campaign configuration. One worker and no race keep every
+/// run fully deterministic; the small base budget forces the escalation
+/// path the bench exists to measure.
+pub fn bench_config() -> CampaignConfig {
     CampaignConfig::default()
         .with_base_budget(600)
         .with_max_attempts(16)
         .with_engines(vec![EngineId::Bmc])
-        .with_warm_start(warm_start)
 }
 
-/// Aggregated metrics of one bench mode (one full campaign run).
+/// Frames a settled obligation's retries re-did: the distance of
+/// `frames_solved` from `depth + attempts − 1`, where `depth` is the
+/// frame count of one uninterrupted run (`cycles` for a violation,
+/// `bound + 1` for a bounded-clean verdict). 0 for verdicts with no
+/// depth.
+fn frames_redone(verdict: &JobVerdict, attempts: u32, frames_solved: u64) -> u64 {
+    let depth = match verdict {
+        JobVerdict::Violation { cycles, .. } => *cycles as u64,
+        JobVerdict::Clean { bound } => u64::from(*bound) + 1,
+        _ => return 0,
+    };
+    frames_solved.abs_diff(depth + u64::from(attempts) - 1)
+}
+
+/// Aggregated metrics of one bench campaign run.
 #[derive(Clone, Debug)]
 pub struct BenchRun {
-    /// `cold` or `warm`.
-    pub mode: &'static str,
     /// Wall-clock of the whole campaign.
     pub wall: Duration,
-    /// Total per-frame BMC queries issued (the regression-gate metric).
+    /// Total per-frame BMC queries issued.
     pub frames_solved: u64,
+    /// Frames re-done by retries, summed over settled obligations (see
+    /// [`frames_redone`]); the regression gate requires 0.
+    pub frames_redone: u64,
     /// SAT conflicts of the deciding runs, summed over obligations.
     pub conflicts: u64,
     /// SAT propagations of the deciding runs, summed over obligations.
@@ -83,11 +97,11 @@ pub struct BenchRun {
     pub peak_arena_bytes: usize,
     /// Total attempts across obligations (retries included).
     pub attempts: u64,
-    /// Model-cache hits (0 in cold mode).
+    /// Model-cache hits.
     pub encoding_cache_hits: u64,
-    /// Model-cache misses / fresh builds.
+    /// Model-cache misses (model builds).
     pub encoding_cache_misses: u64,
-    /// Attempts that resumed a kept session (0 in cold mode).
+    /// Attempts that resumed a kept session.
     pub session_resumes: u64,
     /// Obligations that exhausted every escalation attempt.
     pub timeouts: usize,
@@ -96,11 +110,13 @@ pub struct BenchRun {
 }
 
 impl BenchRun {
-    fn from_summary(mode: &'static str, s: &CampaignSummary) -> BenchRun {
+    fn from_summary(s: &CampaignSummary) -> BenchRun {
         let mut conflicts = 0u64;
         let mut propagations = 0u64;
         let mut peak = 0usize;
+        let mut redone = 0u64;
         for r in &s.records {
+            redone += frames_redone(&r.verdict, r.attempts, r.frames_solved);
             if let Some(st) = &r.stats {
                 conflicts += st.solver.conflicts;
                 propagations += st.solver.propagations;
@@ -108,9 +124,9 @@ impl BenchRun {
             }
         }
         BenchRun {
-            mode,
             wall: s.wall,
             frames_solved: s.frames_solved,
+            frames_redone: redone,
             conflicts,
             propagations,
             peak_arena_bytes: peak,
@@ -136,9 +152,9 @@ impl BenchRun {
 
     fn to_json(&self) -> JsonValue {
         JsonValue::obj()
-            .field("mode", self.mode)
             .field("wall_ms", self.wall.as_millis() as u64)
             .field("frames_solved", self.frames_solved)
+            .field("frames_redone", self.frames_redone)
             .field("frames_per_sec", self.frames_per_sec())
             .field("conflicts", self.conflicts)
             .field("propagations", self.propagations)
@@ -274,13 +290,14 @@ impl PdrProbe {
 
 /// Deterministic SAT-inprocessing effort probe, for the regression gate.
 ///
-/// Runs the warm-pipeline suite twice — inprocessing (bounded variable
+/// Runs the bench suite twice — inprocessing (bounded variable
 /// elimination, subsumption, vivification, tiered learnt DB) on and off —
-/// and compares the two on the same deterministic `frames_solved` metric
-/// as the cold/warm gate, falling back to SAT conflicts as a tiebreak.
-/// Inprocessing is a pure performance knob: a verdict flip between the
-/// runs, or the `on` run doing strictly more frame-solving work (or the
-/// same frames at more conflicts), is a regression.
+/// and compares the two on the deterministic `frames_solved` metric,
+/// falling back to SAT conflicts as a tiebreak. Inprocessing is a pure
+/// performance knob: a verdict flip between the runs (see
+/// [`verdicts_equivalent`]), or the `on` run doing strictly more
+/// frame-solving work (or the same frames at more conflicts), is a
+/// regression.
 #[derive(Clone, Debug)]
 pub struct SimplifyProbe {
     /// Per-frame BMC queries with inprocessing on.
@@ -298,8 +315,7 @@ pub struct SimplifyProbe {
     /// Verdicts contradicting the catalogue, summed over both runs.
     pub mismatches: usize,
     /// Whether every obligation got an equivalent verdict in both runs
-    /// (same class; violations additionally at the same depth — the
-    /// witness property name is a model artifact and may differ).
+    /// (see [`verdicts_equivalent`]).
     pub verdicts_match: bool,
     /// Inprocessing passes completed in the `on` run.
     pub simplify_rounds: u64,
@@ -313,15 +329,33 @@ pub struct SimplifyProbe {
     pub vivified_clauses: u64,
 }
 
-/// Runs the warm-pipeline suite with inprocessing on then off and
-/// returns the comparison.
+/// Whether the inprocessing-on verdict `on` is equivalent to the
+/// inprocessing-off verdict `off` of the same obligation. Violations
+/// must agree on depth only: when several properties fire at the same
+/// depth, which one the witness exhibits depends on the model the solver
+/// happened to find, and inprocessing legitimately changes that model.
+/// An `off` timeout against a conclusive `on` verdict is no flip either:
+/// inprocessing settled an obligation the plain run ran out of budget
+/// on. Every other difference — an `on` timeout included — is a flip.
+fn verdicts_equivalent(on: &JobVerdict, off: &JobVerdict) -> bool {
+    match (on, off) {
+        (JobVerdict::Violation { cycles: a, .. }, JobVerdict::Violation { cycles: b, .. }) => {
+            a == b
+        }
+        (_, JobVerdict::TimeoutEscalated { .. }) if on.is_conclusive() => true,
+        _ => on == off,
+    }
+}
+
+/// Runs the bench suite with inprocessing on then off and returns the
+/// comparison.
 pub fn run_simplify_probe(quick: bool, telemetry: &Telemetry) -> SimplifyProbe {
     let obligations = bench_obligations(quick);
     let on = Campaign::new(&obligations)
-        .config(bench_config(true).with_inprocessing(true))
+        .config(bench_config().with_inprocessing(true))
         .run(telemetry);
     let off = Campaign::new(&obligations)
-        .config(bench_config(true).with_inprocessing(false))
+        .config(bench_config().with_inprocessing(false))
         .run(telemetry);
     let conflicts = |s: &CampaignSummary| -> u64 {
         s.records
@@ -330,25 +364,12 @@ pub fn run_simplify_probe(quick: bool, telemetry: &Telemetry) -> SimplifyProbe {
             .map(|st| st.solver.conflicts)
             .sum()
     };
-    // A violation witness is a SAT model artifact: when several
-    // properties fire at the same depth, which one the trace exhibits
-    // depends on the model the solver happened to find, and inprocessing
-    // legitimately changes that model. The verdict *class* and the
-    // violation *depth* must be invariant; the witness property name may
-    // not be.
-    let equivalent = |a: &crate::runner::JobVerdict, b: &crate::runner::JobVerdict| match (a, b) {
-        (
-            crate::runner::JobVerdict::Violation { cycles: ca, .. },
-            crate::runner::JobVerdict::Violation { cycles: cb, .. },
-        ) => ca == cb,
-        _ => a == b,
-    };
     let verdicts_match = on.records.len() == off.records.len()
         && on
             .records
             .iter()
             .zip(off.records.iter())
-            .all(|(a, b)| equivalent(&a.verdict, &b.verdict));
+            .all(|(a, b)| verdicts_equivalent(&a.verdict, &b.verdict));
     let mut simplify_rounds = 0u64;
     let mut eliminated_vars = 0u64;
     let mut subsumed_clauses = 0u64;
@@ -436,7 +457,7 @@ impl SimplifyProbe {
     }
 }
 
-/// The full cold-vs-warm comparison (`BENCH_pipeline.json`).
+/// The full pipeline report (`BENCH_pipeline.json`).
 #[derive(Clone, Debug)]
 pub struct BenchReport {
     /// Whether the `--quick` suite was used.
@@ -447,9 +468,7 @@ pub struct BenchReport {
     pub base_budget: u64,
     /// Escalation attempts allowed per obligation.
     pub max_attempts: u32,
-    /// The cold-pipeline run.
-    pub cold: BenchRun,
-    /// The warm-pipeline run.
+    /// The pipeline run (model cache and resumable sessions).
     pub warm: BenchRun,
     /// The deterministic PDR effort probe.
     pub pdr: PdrProbe,
@@ -466,45 +485,28 @@ impl BenchReport {
             .field("obligations", self.obligations)
             .field("base_budget", self.base_budget)
             .field("max_attempts", self.max_attempts)
-            .field("cold", self.cold.to_json())
             .field("warm", self.warm.to_json())
             .field("pdr", self.pdr.to_json())
             .field("simplify", self.simplify.to_json())
-            .field(
-                "frames_saved",
-                self.cold
-                    .frames_solved
-                    .saturating_sub(self.warm.frames_solved),
-            )
             .field("regression", self.regression().is_some())
     }
 
-    /// The regression gate: `Some(reason)` when the warm pipeline did
-    /// *more* frame-solving work than the cold one — which the resume
-    /// design makes structurally impossible unless a resume restarted
-    /// from frame 0 — when a warm obligation timed out that cold could
-    /// finish (resumes lost work), or when either run produced a wrong
-    /// verdict.
+    /// The regression gate: `Some(reason)` when a retry re-did verified
+    /// frames (a resume restarted below its stopped frame), when the run
+    /// produced a verdict contradicting the catalogue, or when the PDR or
+    /// simplify probe regressed.
     pub fn regression(&self) -> Option<String> {
-        if self.warm.frames_solved > self.cold.frames_solved {
+        if self.warm.frames_redone > 0 {
             return Some(format!(
-                "warm pipeline solved more frames from zero than cold ({} > {})",
-                self.warm.frames_solved, self.cold.frames_solved
+                "retries re-did {} verified frame(s): a resume did not pick up at its stopped frame",
+                self.warm.frames_redone
             ));
         }
-        if self.warm.timeouts > self.cold.timeouts {
+        if self.warm.mismatches > 0 {
             return Some(format!(
-                "warm pipeline timed out on more obligations than cold ({} > {})",
-                self.warm.timeouts, self.cold.timeouts
+                "pipeline run produced {} verdict(s) contradicting the catalogue",
+                self.warm.mismatches
             ));
-        }
-        for run in [&self.cold, &self.warm] {
-            if run.mismatches > 0 {
-                return Some(format!(
-                    "{} run produced {} verdict(s) contradicting the catalogue",
-                    run.mode, run.mismatches
-                ));
-            }
         }
         if let Some(r) = self.pdr.regression() {
             return Some(r);
@@ -513,24 +515,21 @@ impl BenchReport {
     }
 }
 
-/// Runs the bench suite cold then warm and returns the comparison.
+/// Runs the bench suite and both probes and returns the report.
 /// Attempt-level progress goes to `telemetry` (pass
 /// [`Telemetry::null`] to discard it).
 pub fn run_bench(quick: bool, telemetry: &Telemetry) -> BenchReport {
     let obligations = bench_obligations(quick);
-    let cold_cfg = bench_config(false);
-    let warm_cfg = bench_config(true);
-    let cold = Campaign::new(&obligations)
-        .config(cold_cfg.clone())
+    let config = bench_config();
+    let summary = Campaign::new(&obligations)
+        .config(config.clone())
         .run(telemetry);
-    let warm = Campaign::new(&obligations).config(warm_cfg).run(telemetry);
     BenchReport {
         quick,
         obligations: obligations.len(),
-        base_budget: cold_cfg.base_budget.expect("bench always sets a budget"),
-        max_attempts: cold_cfg.max_attempts,
-        cold: BenchRun::from_summary("cold", &cold),
-        warm: BenchRun::from_summary("warm", &warm),
+        base_budget: config.base_budget.expect("bench always sets a budget"),
+        max_attempts: config.max_attempts,
+        warm: BenchRun::from_summary(&summary),
         pdr: run_pdr_probe(),
         simplify: run_simplify_probe(quick, telemetry),
     }
@@ -539,17 +538,18 @@ pub fn run_bench(quick: bool, telemetry: &Telemetry) -> BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::is_valid_json;
+    use crate::json::parse_json;
 
     #[test]
-    fn quick_bench_warm_never_exceeds_cold_and_reuses_encodings() {
+    fn quick_bench_resumes_exactly_and_reuses_encodings() {
         let report = run_bench(true, &Telemetry::null());
         assert!(
             report.regression().is_none(),
             "quick bench regressed: {report:?}"
         );
+        assert_eq!(report.warm.frames_redone, 0);
         // The tiny budget must actually force escalation, and escalated
-        // warm attempts must resume sessions / reuse cached models — the
+        // attempts must resume sessions / reuse cached models — the
         // acceptance criterion that retries never re-run synthesis or
         // bitblasting.
         assert!(
@@ -561,16 +561,50 @@ mod tests {
             report.warm.encoding_cache_misses < report.warm.attempts,
             "every attempt rebuilt its model"
         );
-        // Cold mode must not silently warm up.
-        assert_eq!(report.cold.encoding_cache_hits, 0);
-        assert_eq!(report.cold.session_resumes, 0);
-        // The warm pipeline must reach a verdict everywhere the cold one
-        // does (it accumulates conflicts across attempts instead of
-        // discarding them) — a timeout asymmetry the other way is a
-        // regression(); zero warm timeouts keeps the report conclusive.
-        assert_eq!(report.warm.timeouts, 0, "warm run timed out: {report:?}");
+        // Resumes accumulate conflicts across attempts, so every quick
+        // obligation settles within the escalation schedule.
+        assert_eq!(report.warm.timeouts, 0, "pipeline timed out: {report:?}");
         let json = report.to_json().render();
-        assert!(is_valid_json(&json), "bad bench JSON: {json}");
+        assert!(parse_json(&json).is_some(), "bad bench JSON: {json}");
+    }
+
+    #[test]
+    fn frames_redone_measures_distance_from_an_exact_resume_chain() {
+        let clean = JobVerdict::Clean { bound: 12 };
+        let violation = JobVerdict::Violation {
+            property: "p".to_string(),
+            cycles: 4,
+        };
+        // Depth 13, three attempts: two stopped frames re-queried once.
+        assert_eq!(frames_redone(&clean, 3, 15), 0);
+        assert_eq!(frames_redone(&clean, 3, 20), 5);
+        assert_eq!(frames_redone(&clean, 3, 14), 1);
+        assert_eq!(frames_redone(&violation, 1, 4), 0);
+        assert_eq!(frames_redone(&violation, 2, 9), 4);
+        let timeout = JobVerdict::TimeoutEscalated { attempts: 16 };
+        assert_eq!(frames_redone(&timeout, 16, 300), 0);
+    }
+
+    #[test]
+    fn verdict_equivalence_admits_only_an_off_side_timeout() {
+        let clean = JobVerdict::Clean { bound: 12 };
+        let timeout = JobVerdict::TimeoutEscalated { attempts: 16 };
+        let violation = |property: &str, cycles| JobVerdict::Violation {
+            property: property.to_string(),
+            cycles,
+        };
+        // Inprocessing settled what the plain run timed out on.
+        assert!(verdicts_equivalent(&clean, &timeout));
+        assert!(verdicts_equivalent(&violation("a", 3), &timeout));
+        // The converse is a regression.
+        assert!(!verdicts_equivalent(&timeout, &clean));
+        // Violations: the depth must match, the witness property need not.
+        assert!(verdicts_equivalent(&violation("a", 3), &violation("b", 3)));
+        assert!(!verdicts_equivalent(&violation("a", 3), &violation("a", 4)));
+        assert!(!verdicts_equivalent(&clean, &violation("a", 3)));
+        assert!(!verdicts_equivalent(&violation("a", 3), &clean));
+        assert!(verdicts_equivalent(&clean, &clean));
+        assert!(verdicts_equivalent(&timeout, &timeout));
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! in-process, exactly as without a fleet.
 
 use crate::api::{self, ApiError, ObligationSpec, SCHEMA_VERSION};
-use crate::journal::{FaultPlan, KillFault};
+use crate::journal::{replay_verdict, FaultPlan, KillFault, ReplayedRecord};
 use crate::json::{parse_json, JsonValue};
 use crate::portfolio::EngineId;
 use crate::runner::{Campaign, CampaignConfig, JobVerdict};
@@ -179,8 +179,8 @@ pub fn chaos_kill_plan(
 /// How [`Dispatcher::dispatch`] left an obligation; the runner settles
 /// it through the same bookkeeping as an in-process solve.
 pub(crate) enum DispatchOutcome {
-    /// A child answered the dispatch with this result.
-    Settled(WorkResult),
+    /// A child answered the dispatch with this record.
+    Settled(ReplayedRecord),
     /// The campaign interrupt was raised while the obligation was in
     /// flight.
     Cancelled,
@@ -194,52 +194,38 @@ pub(crate) enum DispatchOutcome {
     SpawnFailed,
 }
 
-/// A child's answer to one dispatch: the fields of a `work_result` line,
-/// or a `failed` verdict carrying a structured `error` reply.
-pub(crate) struct WorkResult {
-    pub(crate) verdict: JobVerdict,
-    pub(crate) attempts: u32,
-    pub(crate) engine: &'static str,
-    pub(crate) frames: u64,
-    pub(crate) wall: Duration,
+/// A single-attempt `failed` answer: what the child sends for a request
+/// it cannot resolve, and how the supervisor reads an `error` reply or
+/// an undecodable `work_result`.
+fn failed_record(message: String) -> ReplayedRecord {
+    ReplayedRecord {
+        verdict: JobVerdict::Failed { message },
+        attempts: 1,
+        engine: "-",
+        frames_solved: 0,
+        wall_ms: 0,
+    }
 }
 
-impl WorkResult {
-    fn decode(result: &JsonValue) -> WorkResult {
-        let u64_field = |name: &str| result.get(name).and_then(JsonValue::as_u64);
-        WorkResult {
-            verdict: api::decode_verdict(result).unwrap_or_else(|| JobVerdict::Failed {
-                message: "worker returned an undecodable work_result".to_string(),
-            }),
-            attempts: u64_field("attempts")
-                .and_then(|v| u32::try_from(v).ok())
-                .unwrap_or(1),
-            engine: api::decode_engine(result),
-            frames: u64_field("frames_solved").unwrap_or(0),
-            wall: Duration::from_millis(u64_field("wall_ms").unwrap_or(0)),
-        }
-    }
+/// The supervisor's reading of a `work_result` line: the journal's
+/// record decoder, admitting unsettled verdicts too (a child's
+/// timeout-escalated or failed obligation is a final answer).
+fn decode_work_result(result: &JsonValue) -> ReplayedRecord {
+    replay_verdict(result, api::decode_verdict)
+        .unwrap_or_else(|| failed_record("worker returned an undecodable work_result".to_string()))
+}
 
-    /// The `failed` answer to an `error` reply — what the child's own
-    /// [`handle_work_request`] fail path would have sent.
-    fn error(reply: &JsonValue) -> WorkResult {
-        let message = match ApiError::from_json(reply) {
-            Some(e) => format!("worker error {e}"),
-            None => "worker sent a malformed error reply".to_string(),
-        };
-        WorkResult {
-            verdict: JobVerdict::Failed { message },
-            attempts: 1,
-            engine: "-",
-            frames: 0,
-            wall: Duration::ZERO,
-        }
-    }
+/// The `failed` answer to an `error` reply.
+fn decode_error_reply(reply: &JsonValue) -> ReplayedRecord {
+    failed_record(match ApiError::from_json(reply) {
+        Some(e) => format!("worker error {e}"),
+        None => "worker sent a malformed error reply".to_string(),
+    })
 }
 
 /// How one round trip with a worker child ended.
 enum RoundTrip {
-    Answered(WorkResult),
+    Answered(ReplayedRecord),
     /// The child died (exit, signal, or heartbeat loss) with a cause tag.
     Crashed(String),
     Cancelled,
@@ -503,11 +489,11 @@ fn monitor_dispatch(fleet: &FleetConfig, cancel: &AtomicBool, c: &mut WorkerChil
                 last_output = Instant::now();
                 if let Some(v) = parse_json(&line) {
                     match v.get("type").and_then(JsonValue::as_str) {
-                        Some("work_result") => return RoundTrip::Answered(WorkResult::decode(&v)),
+                        Some("work_result") => return RoundTrip::Answered(decode_work_result(&v)),
                         // The child rejected the request (schema
                         // mismatch, unparseable line): it is alive but
                         // will never answer, so settle now.
-                        Some("error") => return RoundTrip::Answered(WorkResult::error(&v)),
+                        Some("error") => return RoundTrip::Answered(decode_error_reply(&v)),
                         _ => {} // heartbeat / hello: clock refreshed above
                     }
                 }
@@ -556,7 +542,6 @@ fn work_request(
                     .collect(),
             ),
         )
-        .field("warm_start", config.warm_start)
         .field("mem_limit", config.mem_limit.map(|b| b as u64))
         .field("inprocessing", config.inprocessing)
         .field("obligation", spec.to_json())
@@ -662,21 +647,7 @@ fn handle_work_request(value: &JsonValue) {
         .and_then(JsonValue::as_str)
         .unwrap_or("<unknown>")
         .to_string();
-    let fail = |message: String| {
-        let verdict = JobVerdict::Failed { message };
-        emit_line(&api::encode_verdict_fields(
-            JsonValue::obj()
-                .field("type", "work_result")
-                .field("schema_version", SCHEMA_VERSION)
-                .field("job", job_id.as_str())
-                .field("verdict", verdict.tag())
-                .field("attempts", 1u32)
-                .field("engine", "-")
-                .field("frames_solved", 0u64)
-                .field("wall_ms", 0u64),
-            &verdict,
-        ));
-    };
+    let fail = |message: String| emit_work_result(&job_id, &failed_record(message));
     let obligation = match value.get("obligation") {
         Some(spec) => match ObligationSpec::from_json(spec).and_then(|s| s.resolve()) {
             Ok(obl) => obl,
@@ -719,16 +690,30 @@ fn handle_work_request(value: &JsonValue) {
     let _ = beater.join();
 
     let record = &summary.records[0];
+    emit_work_result(
+        &job_id,
+        &ReplayedRecord {
+            verdict: record.verdict.clone(),
+            attempts: record.attempts,
+            engine: record.engine,
+            frames_solved: record.frames_solved,
+            wall_ms: record.wall.as_millis() as u64,
+        },
+    );
+}
+
+/// Emits the `work_result` line answering the request for `job`.
+fn emit_work_result(job: &str, record: &ReplayedRecord) {
     emit_line(&api::encode_verdict_fields(
         JsonValue::obj()
             .field("type", "work_result")
             .field("schema_version", SCHEMA_VERSION)
-            .field("job", job_id.as_str())
+            .field("job", job)
             .field("verdict", record.verdict.tag())
             .field("attempts", record.attempts)
             .field("engine", record.engine)
             .field("frames_solved", record.frames_solved)
-            .field("wall_ms", record.wall.as_millis() as u64),
+            .field("wall_ms", record.wall_ms),
         &record.verdict,
     ));
 }
@@ -758,9 +743,6 @@ fn worker_config(value: &JsonValue) -> Result<CampaignConfig, ApiError> {
         if !engines.is_empty() {
             config = config.with_engines(engines);
         }
-    }
-    if let Some(warm) = value.get("warm_start").and_then(JsonValue::as_bool) {
-        config = config.with_warm_start(warm);
     }
     if let Some(bytes) = value.get("mem_limit").and_then(JsonValue::as_u64) {
         config = config.with_mem_limit(bytes as usize);
@@ -834,7 +816,6 @@ mod tests {
             .with_deadline_ms(1234)
             .with_base_budget(99)
             .with_max_attempts(7)
-            .with_warm_start(false)
             .with_mem_limit(1 << 20)
             .with_inprocessing(false);
         let req = work_request(&spec, &config, &FleetConfig::default(), 2, None);
@@ -848,7 +829,6 @@ mod tests {
         assert_eq!(rebuilt.base_budget, Some(99));
         assert_eq!(rebuilt.max_attempts, 7);
         assert_eq!(rebuilt.engines, config.engines);
-        assert!(!rebuilt.warm_start);
         assert_eq!(rebuilt.mem_limit, Some(1 << 20));
         assert!(!rebuilt.inprocessing);
         // The obligation survives the round trip too.

@@ -366,7 +366,9 @@ fn scan_record(bytes: &[u8], pos: usize) -> Result<(JsonValue, usize), String> {
     Ok((record, pos + cursor + len + 1))
 }
 
-/// One obligation verdict replayed from a journal.
+/// One obligation's final record as a verdict line carries it: replayed
+/// from a journal, read from the verdict store, or answered by a fleet
+/// worker.
 #[derive(Clone, Debug)]
 pub struct ReplayedRecord {
     /// The reconstructed final verdict.
@@ -414,7 +416,7 @@ impl ResumeState {
                     let Some(job) = r.get("job").and_then(JsonValue::as_str) else {
                         continue;
                     };
-                    match replay_verdict(r) {
+                    match replay_verdict(r, crate::api::decode_settled_verdict) {
                         Some(rr) => {
                             state.completed.insert(job.to_string(), rr);
                         }
@@ -432,13 +434,18 @@ impl ResumeState {
     }
 }
 
-/// Rebuilds the [`JobVerdict`] of a settled verdict record; `None` for
-/// unsettled or malformed ones (those re-run on resume). The verdict
-/// fields themselves are decoded by the wire codec in [`crate::api`] —
-/// the journal shares its record vocabulary with the serve protocol and
-/// the verdict store.
-pub(crate) fn replay_verdict(r: &JsonValue) -> Option<ReplayedRecord> {
-    let verdict = crate::api::decode_settled_verdict(r)?;
+/// Rebuilds the record a verdict line carries, its verdict decoded by
+/// `decode`; `None` when `decode` refuses the verdict. Journal resume
+/// and the verdict store pass [`crate::api::decode_settled_verdict`], so
+/// unsettled or malformed verdicts re-run; the fleet supervisor passes
+/// [`crate::api::decode_verdict`] to read a worker's final answer. The
+/// journal shares this record vocabulary with the serve protocol, the
+/// verdict store and the fleet's `work_result` line.
+pub(crate) fn replay_verdict(
+    r: &JsonValue,
+    decode: fn(&JsonValue) -> Option<JobVerdict>,
+) -> Option<ReplayedRecord> {
+    let verdict = decode(r)?;
     Some(ReplayedRecord {
         verdict,
         attempts: r

@@ -1,13 +1,12 @@
-//! A minimal in-tree JSON encoder, parser and validator.
+//! A minimal in-tree JSON encoder and parser.
 //!
 //! The telemetry stream is JSONL: one self-contained JSON object per line.
 //! The workspace is dependency-free by policy, so this module implements
 //! the small subset of JSON the campaign needs — objects with ordered
 //! keys, strings, integers, floats, booleans, nulls and arrays — plus a
-//! recursive-descent validator used by the test-suite to assert every
-//! emitted line is well-formed, and a value-producing parser
-//! ([`parse_json`]) used by the crash-recovery journal to replay records
-//! written by earlier runs.
+//! recursive-descent parser ([`parse_json`]) that reads back the
+//! journal, the verdict store and every wire line, and that the tests
+//! use to assert every emitted line is well-formed.
 
 use std::fmt::Write as _;
 
@@ -219,36 +218,9 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Validates that `s` is exactly one well-formed JSON value (per RFC 8259
-/// grammar, minus `\u` surrogate-pair pairing checks). Used by the tests
-/// to assert every telemetry line parses.
-pub fn is_valid_json(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    if !parse_value(b, &mut pos) {
-        return false;
-    }
-    skip_ws(b, &mut pos);
-    pos == b.len()
-}
-
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> bool {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(b'-' | b'0'..=b'9') => parse_number(b, pos),
-        _ => false,
     }
 }
 
@@ -258,63 +230,6 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
         true
     } else {
         false
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if !parse_string(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return false;
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
     }
 }
 
@@ -479,7 +394,7 @@ fn p_string(b: &[u8], pos: &mut usize) -> Option<String> {
     if !parse_string(b, pos) {
         return None;
     }
-    // The validated span (quotes included) is UTF-8: it came from a &str.
+    // The scanned span (quotes included) is UTF-8: it came from a &str.
     let span = std::str::from_utf8(&b[start + 1..*pos - 1]).ok()?;
     let mut out = String::with_capacity(span.len());
     let mut chars = span.chars();
@@ -548,8 +463,7 @@ fn p_number(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
     }
     // Integers wider than u64 (e.g. a large float rendered without a
     // fractional part): fall back to the closest float, as every other
-    // JSON parser does, so the grammar the validator accepts is exactly
-    // the grammar this parser accepts.
+    // JSON parser does, rather than reject a well-formed number.
     text.parse::<f64>().ok().map(JsonValue::Float)
 }
 
@@ -574,11 +488,11 @@ mod tests {
     fn escapes_strings() {
         let v = JsonValue::from("a\"b\\c\nd\te\u{1}");
         assert_eq!(v.render(), r#""a\"b\\c\nd\te\u0001""#);
-        assert!(is_valid_json(&v.render()));
+        assert!(parse_json(&v.render()).is_some());
     }
 
     #[test]
-    fn every_rendered_value_validates() {
+    fn every_rendered_value_parses() {
         let v = JsonValue::obj()
             .field("s", "héllo ✓")
             .field("n", -42i64)
@@ -589,11 +503,11 @@ mod tests {
                 JsonValue::Array(vec![JsonValue::Null, JsonValue::Bool(false)]),
             )
             .field("o", JsonValue::obj().field("k", 0u32));
-        assert!(is_valid_json(&v.render()));
+        assert!(parse_json(&v.render()).is_some());
     }
 
     #[test]
-    fn validator_accepts_canonical_forms() {
+    fn parser_accepts_canonical_forms() {
         for ok in [
             "null",
             "true",
@@ -608,12 +522,12 @@ mod tests {
             r#"{"a":[{"b":null}]}"#,
             "  { \"x\" : 1 }  ",
         ] {
-            assert!(is_valid_json(ok), "should accept: {ok}");
+            assert!(parse_json(ok).is_some(), "should accept: {ok}");
         }
     }
 
     #[test]
-    fn validator_rejects_malformed_input() {
+    fn parser_rejects_malformed_input() {
         for bad in [
             "",
             "{",
@@ -631,7 +545,7 @@ mod tests {
             "{} {}",
             "\u{1}",
         ] {
-            assert!(!is_valid_json(bad), "should reject: {bad}");
+            assert!(parse_json(bad).is_none(), "should reject: {bad}");
         }
     }
 
@@ -687,18 +601,11 @@ mod tests {
         assert_eq!(parse_json("1.25e-3"), Some(JsonValue::Float(1.25e-3)));
         assert_eq!(parse_json("1e2"), Some(JsonValue::Float(100.0)));
         // Integers wider than u64 degrade to the closest float instead of
-        // rejecting input the validator accepts.
+        // being rejected.
         assert_eq!(
             parse_json("99999999999999999999999999"),
             Some(JsonValue::Float(1e26))
         );
         assert_eq!(parse_json("-0"), Some(JsonValue::Float(-0.0)));
-    }
-
-    #[test]
-    fn parser_rejects_what_the_validator_rejects() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "01", "{} {}"] {
-            assert!(parse_json(bad).is_none(), "should reject: {bad}");
-        }
     }
 }

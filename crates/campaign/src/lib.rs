@@ -48,7 +48,7 @@ pub use journal::{
     crc32, manifest_crc, read_journal, FaultPlan, Journal, JournalReplay, KillFault,
     ReplayedRecord, ResumeState, WriteFault,
 };
-pub use json::{is_valid_json, parse_json, JsonValue};
+pub use json::{parse_json, JsonValue};
 pub use mutants::{
     enumerate_mutant_obligations, MutantBatch, MutantPlan, MutantRow, MutantsReport,
     DEFAULT_DETECTION_FLOOR,

@@ -55,10 +55,7 @@ use crate::portfolio::{default_portfolio, EngineId, PDR_QUERY_CAP};
 use crate::store::{derive_key, StoreKey, VerdictStore};
 use crate::telemetry::Telemetry;
 use gqed_bmc::{BmcEngine, BmcLimits, BmcStats, StopReason};
-use gqed_core::{
-    build_model, model_fingerprint, CheckKind, CheckSession, CheckStatus, ModelCache, ModelKey,
-    Verdict,
-};
+use gqed_core::{build_model, CheckKind, CheckSession, CheckStatus, ModelCache, ModelKey, Verdict};
 use gqed_ha::{all_designs, Design};
 use gqed_ir::Model;
 use gqed_pdr::{prove_pdr_limited, PdrOptions, PdrStats, PdrVerdict};
@@ -88,14 +85,6 @@ pub struct CampaignConfig {
     /// certificates, used by the table generators); an empty list is
     /// treated the same way.
     pub engines: Vec<EngineId>,
-    /// Warm-start pipeline: share synthesized models across a design's
-    /// obligations through a [`ModelCache`], and keep the live
-    /// [`CheckSession`] of a budget/deadline-stopped obligation so its
-    /// retry resumes at the stopped frame instead of re-synthesizing,
-    /// re-bitblasting and re-solving from frame 0. Off = every attempt
-    /// pays the full encoding cost (the cold baseline the bench
-    /// compares against).
-    pub warm_start: bool,
     /// Clause-arena byte budget per solver. When the learnt-clause arena
     /// exceeds it the solver first sheds learnt clauses; if still over,
     /// the attempt stops with [`StopReason::MemoryLimit`] and retries
@@ -121,7 +110,6 @@ impl Default for CampaignConfig {
             base_budget: None,
             max_attempts: 4,
             engines: default_portfolio(),
-            warm_start: true,
             mem_limit: None,
             interrupt: None,
             inprocessing: true,
@@ -161,12 +149,6 @@ impl CampaignConfig {
     /// Sets the proof-engine portfolio.
     pub fn with_engines(mut self, engines: Vec<EngineId>) -> Self {
         self.engines = engines;
-        self
-    }
-
-    /// Enables or disables the warm-start pipeline.
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = warm;
         self
     }
 
@@ -313,9 +295,10 @@ pub struct JobRecord {
     /// the portfolio fielded the PDR engine on this obligation.
     pub pdr_stats: Option<PdrStats>,
     /// Total per-frame BMC queries solved across *all* attempts of this
-    /// obligation. Cold restarts re-solve every frame from zero on each
-    /// retry; warm resumes do not — this is the deterministic metric the
-    /// bench regression gate compares.
+    /// obligation. A resumed retry re-queries only the frame its
+    /// predecessor stopped on, so a settled record at depth `d` after `a`
+    /// attempts solved exactly `d + a - 1` frames — the identity the
+    /// bench regression gate checks.
     pub frames_solved: u64,
     /// Whether a conclusive verdict contradicts the catalogue ground
     /// truth.
@@ -490,8 +473,8 @@ struct Shared<'a> {
     cv: Condvar,
     /// Per-obligation state, indexed like `obligations`.
     jobs: Mutex<Vec<JobState>>,
-    /// Synthesized models shared across obligations (warm-start mode) —
-    /// and across batches, when the service supplies a persistent cache.
+    /// Synthesized models shared across obligations — and across
+    /// batches, when the service supplies a persistent cache.
     cache: Arc<ModelCache>,
     /// Content-addressed verdict store, when one is attached.
     store: Option<&'a VerdictStore>,
@@ -911,8 +894,8 @@ fn run_job(
         match outcome {
             DispatchOutcome::Settled(r) => {
                 shared.job(index, |j| {
-                    j.wall += r.wall;
-                    j.frames += r.frames;
+                    j.wall += Duration::from_millis(r.wall_ms);
+                    j.frames += r.frames_solved;
                 });
                 finish(shared, index, r.verdict, r.attempts, r.engine, None, None);
                 return None;
@@ -943,8 +926,8 @@ fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(usize, u32)
     let obl = &shared.obligations[index];
     // Memory-degraded obligations retry cold at the base budget: the
     // Luby schedule would grow the clause arena straight back into the
-    // wall it just hit. Warm start resumes the kept session of a
-    // previously stopped attempt (only kept in warm-start mode).
+    // wall it just hit. Any other retry resumes the kept session of the
+    // previously stopped attempt.
     let (degraded, mut session_slot) = shared.job(index, |j| (j.mem_degraded, j.session.take()));
     let factor = if degraded {
         1
@@ -963,13 +946,12 @@ fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(usize, u32)
         mem_limit: shared.config.mem_limit,
     };
 
-    let warm = shared.config.warm_start;
     let resumed_from_frame = session_slot.as_ref().map(|s| s.resume_frame());
     if resumed_from_frame.is_some() {
         shared.session_resumes.fetch_add(1, Ordering::Relaxed);
     }
-    let encoding_reused = session_slot.is_some()
-        || (warm && model_key(obl).is_some_and(|k| shared.cache.contains(&k)));
+    let encoding_reused =
+        session_slot.is_some() || model_key(obl).is_some_and(|k| shared.cache.contains(&k));
 
     shared.telemetry.emit(
         &JsonValue::obj()
@@ -1062,16 +1044,12 @@ fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(usize, u32)
                                 .map(|ms| ms.saturating_mul(next_factor)),
                         ),
                 );
-                // Keep the live session: the retry resumes at the
-                // stopped frame with all learnt clauses intact.
-                let kept = if warm && !memory_stopped {
-                    session_slot
-                } else {
-                    None
-                };
+                // Keep the live session unless a memory stop sheds it:
+                // the retry resumes at the stopped frame with all learnt
+                // clauses intact.
                 shared.job(index, |j| {
                     j.mem_degraded |= memory_stopped;
-                    j.session = kept;
+                    j.session = if memory_stopped { None } else { session_slot };
                 });
                 return Some((index, attempt + 1));
             } else {
@@ -1309,18 +1287,12 @@ fn store_probe(shared: &Shared, index: usize) -> bool {
     };
     // Building a model panics on an unknown design; skip the probe and
     // let the normal attempt path hit the same panic, which the worker
-    // isolates into a Failed verdict. Warm-start mode reads the
-    // fingerprint memoised beside the cached model; cold mode renders
-    // each fresh build, as its attempts do not share models either.
+    // isolates into a Failed verdict. The fingerprint is the one
+    // memoised beside the cached model.
     let key = match catch_unwind(AssertUnwindSafe(|| {
-        let fingerprint = if shared.config.warm_start {
-            let key = cache_model_key(obl, kind);
-            shared
-                .cache
-                .fingerprint(key, || build_model(&build_design(obl), kind))
-        } else {
-            model_fingerprint(&build_model(&build_design(obl), kind))
-        };
+        let fingerprint = shared.cache.fingerprint(cache_model_key(obl, kind), || {
+            build_model(&build_design(obl), kind)
+        });
         derive_key(fingerprint, obl, shared.config)
     })) {
         Ok(key) => key,
@@ -1358,25 +1330,16 @@ fn store_probe(shared: &Shared, index: usize) -> bool {
     true
 }
 
-/// The synthesized model for this obligation's flow: from the shared
-/// cache in warm-start mode (built at most once per `(design, flow)`),
-/// or built fresh on every attempt in cold mode.
-fn resolve_model(
-    obl: &Obligation,
-    kind: CheckKind,
-    config: &CampaignConfig,
-    cache: &ModelCache,
-) -> Arc<Model> {
-    if config.warm_start {
-        let key = cache_model_key(obl, kind);
-        cache.get_or_build(key, || build_model(&build_design(obl), kind))
-    } else {
-        Arc::new(build_model(&build_design(obl), kind))
-    }
+/// The synthesized model for this obligation's flow, from the shared
+/// cache (built at most once per `(design, flow)`).
+fn resolve_model(obl: &Obligation, kind: CheckKind, cache: &ModelCache) -> Arc<Model> {
+    cache.get_or_build(cache_model_key(obl, kind), || {
+        build_model(&build_design(obl), kind)
+    })
 }
 
 /// Runs one attempt. Returns the result plus the number of per-frame BMC
-/// queries this attempt solved (the warm-vs-cold work metric). The
+/// queries this attempt solved (the bench's work metric). The
 /// session in `session_slot` — resumed by the worker or created here —
 /// is left in the slot; the worker keeps it for the retry only when the
 /// attempt stopped without a verdict.
@@ -1393,7 +1356,7 @@ fn run_attempt(
         }
         ObligationKind::ProveClean { bound, .. } => {
             if config.engines.iter().any(|e| *e != EngineId::Bmc) {
-                let model = resolve_model(obl, CheckKind::GQed, config, cache);
+                let model = resolve_model(obl, CheckKind::GQed, cache);
                 let session = session_slot.take().unwrap_or_else(|| {
                     let mut s = CheckSession::new(CheckKind::GQed, *bound, Arc::clone(&model));
                     s.set_inprocessing(config.inprocessing);
@@ -1438,7 +1401,7 @@ fn run_session_check(
     session_slot: &mut Option<CheckSession>,
 ) -> (AttemptResult, u64) {
     if session_slot.is_none() {
-        let model = resolve_model(obl, kind, config, cache);
+        let model = resolve_model(obl, kind, cache);
         let mut session = CheckSession::new(kind, bound, model);
         session.set_inprocessing(config.inprocessing);
         *session_slot = Some(session);

@@ -23,9 +23,8 @@
 //! * **solver-relevant config**: base conflict budget, max attempts and
 //!   the memory limit.
 //!
-//! Deliberately *excluded*: worker count, warm-start mode and wall-clock
-//! deadlines — they affect scheduling and latency, never a conclusive
-//! verdict. And only *conclusive* verdicts (violation, bounded-clean,
+//! Deliberately *excluded*: worker count and wall-clock deadlines — they
+//! affect scheduling and latency, never a conclusive verdict. And only *conclusive* verdicts (violation, bounded-clean,
 //! proven) are admitted: unknown/timeout/failed/cancelled outcomes are
 //! resource- or fault-dependent, so caching them could freeze a transient
 //! condition into a permanent answer.
@@ -138,7 +137,8 @@ impl VerdictStore {
             else {
                 continue;
             };
-            if let Some(rr) = crate::journal::replay_verdict(r) {
+            if let Some(rr) = crate::journal::replay_verdict(r, crate::api::decode_settled_verdict)
+            {
                 if rr.verdict.is_conclusive() {
                     map.insert(key.0, rr);
                 }

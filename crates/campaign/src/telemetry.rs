@@ -155,7 +155,7 @@ impl Write for SharedBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::is_valid_json;
+    use crate::json::parse_json;
 
     #[test]
     fn emits_one_line_per_event() {
@@ -166,7 +166,7 @@ mod tests {
         let lines = buf.lines();
         assert_eq!(lines.len(), 2);
         for l in &lines {
-            assert!(is_valid_json(l), "invalid line: {l}");
+            assert!(parse_json(l).is_some(), "invalid line: {l}");
         }
         assert_eq!(lines[0], r#"{"type":"a"}"#);
     }
@@ -194,7 +194,7 @@ mod tests {
         let lines = buf.lines();
         assert_eq!(lines.len(), 200);
         for l in lines {
-            assert!(is_valid_json(&l), "interleaved line: {l}");
+            assert!(parse_json(&l).is_some(), "interleaved line: {l}");
         }
     }
 }

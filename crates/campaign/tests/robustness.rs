@@ -8,7 +8,7 @@
 //! aggregate exit status — while still producing the genuine verdict.
 
 use gqed_campaign::{
-    is_valid_json, Campaign, CampaignConfig, JobVerdict, Obligation, ObligationKind, Telemetry,
+    parse_json, Campaign, CampaignConfig, JobVerdict, Obligation, ObligationKind, Telemetry,
 };
 use gqed_core::CheckKind;
 
@@ -105,7 +105,7 @@ fn campaign_survives_panics_and_exhaustion() {
     let lines = buf.lines();
     assert!(!lines.is_empty());
     for l in &lines {
-        assert!(is_valid_json(l), "invalid telemetry line: {l}");
+        assert!(parse_json(l).is_some(), "invalid telemetry line: {l}");
     }
     let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
     assert_eq!(count(r#""type":"job_verdict""#), 3);

@@ -58,19 +58,17 @@ fn resubmitted_campaign_is_fully_cached_at_any_worker_count() {
     drop(store);
 
     // Warm runs: zero obligations re-solved, byte-identical normalized
-    // summary — independent of the worker count, and of whether the probe
-    // reads the model cache's memoised fingerprint (warm start) or renders
-    // a fresh build (cold): both must derive the same store keys.
-    for (jobs, warm_start) in [(1, true), (4, true), (1, false)] {
+    // summary — independent of the worker count.
+    for jobs in [1, 4] {
         let store = VerdictStore::open(&path).unwrap();
         let warm = Campaign::new(&obls)
-            .config(bmc_config(jobs).with_warm_start(warm_start))
+            .config(bmc_config(jobs))
             .verdict_store(&store)
             .run(&Telemetry::null());
         assert_eq!(
             (warm.cache_hits, warm.cache_misses),
             (n, 0),
-            "warm run at {jobs} workers (warm start {warm_start}) re-solved something"
+            "warm run at {jobs} workers re-solved something"
         );
         assert_eq!(
             warm.normalized_render(),
@@ -113,10 +111,6 @@ fn store_keys_ignore_scheduling_but_track_solver_relevant_config() {
     let key = derive_key(fp, &obl, &base);
     assert_eq!(key, derive_key(fp, &obl, &base.clone().with_jobs(8)));
     assert_eq!(key, derive_key(fp, &obl, &base.clone().with_deadline_ms(5)));
-    assert_eq!(
-        key,
-        derive_key(fp, &obl, &base.clone().with_warm_start(false))
-    );
     assert_ne!(key, derive_key(fp, &obl, &base.clone().with_base_budget(7)));
     assert_ne!(
         key,

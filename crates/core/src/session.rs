@@ -182,14 +182,8 @@ pub struct CheckSession {
     kind: CheckKind,
     bound: u32,
     engine: BmcEngine<'static>,
-    /// The shared model the engine runs on, kept so the session can be
-    /// shed and rebuilt cold without re-synthesizing the model.
-    model: Arc<Model>,
     /// Wall-clock accumulated across runs of this session.
     wall: Duration,
-    /// Whether the engine's solver runs scheduled inprocessing; kept on
-    /// the session so a cold rebuild preserves the caller's choice.
-    inprocessing: bool,
 }
 
 impl CheckSession {
@@ -198,19 +192,15 @@ impl CheckSession {
         CheckSession {
             kind,
             bound,
-            engine: BmcEngine::for_model(Arc::clone(&model)),
-            model,
+            engine: BmcEngine::for_model(model),
             wall: Duration::ZERO,
-            inprocessing: true,
         }
     }
 
     /// Enables or disables SAT-core inprocessing for this session's
-    /// engine (on by default). The choice survives
-    /// [`CheckSession::rebuild_cold`]. A pure performance knob: verdicts
-    /// never depend on it.
+    /// engine (on by default). A pure performance knob: verdicts never
+    /// depend on it.
     pub fn set_inprocessing(&mut self, on: bool) {
-        self.inprocessing = on;
         self.engine.set_inprocessing(on);
     }
 
@@ -230,22 +220,6 @@ impl CheckSession {
     /// deterministic work metric; see [`gqed_bmc::BmcStats`]).
     pub fn frame_queries(&self) -> u64 {
         self.engine.stats().frame_queries
-    }
-
-    /// The shared model this session's engine runs on.
-    pub fn model(&self) -> &Arc<Model> {
-        &self.model
-    }
-
-    /// Sheds this session's engine — unrolling, encoding and every learnt
-    /// clause — and opens a fresh session on the same model, kind and
-    /// bound. The escape hatch for memory pressure: the engine's clause
-    /// arena is released, only the (shared, cheap-to-keep) model survives,
-    /// and the next run starts cold from frame 0.
-    pub fn rebuild_cold(&self) -> Self {
-        let mut cold = Self::new(self.kind, self.bound, Arc::clone(&self.model));
-        cold.set_inprocessing(self.inprocessing);
-        cold
     }
 
     /// Runs — or, after a stop, resumes — the check under `limits`. A
@@ -349,31 +323,6 @@ mod tests {
             }
         }
         panic!("escalating resumes never reached a verdict");
-    }
-
-    #[test]
-    fn rebuild_cold_sheds_progress_but_keeps_the_model() {
-        let d = accum::build(&accum::Params::default(), Some("carry-leak"));
-        let mut session = CheckSession::for_design(&d, CheckKind::GQed, 16);
-        // Advance the session a little so it has warm state to lose.
-        let limits = BmcLimits {
-            budget: Some(20),
-            ..BmcLimits::default()
-        };
-        let _ = session.run(&limits);
-        let cold = session.rebuild_cold();
-        assert_eq!(cold.resume_frame(), 0, "cold rebuild must start over");
-        assert_eq!(cold.frame_queries(), 0);
-        assert!(
-            Arc::ptr_eq(session.model(), cold.model()),
-            "rebuild must share the model, not re-synthesize it"
-        );
-        // The cold session still reaches the same verdict.
-        let mut cold = cold;
-        match cold.run(&BmcLimits::default()) {
-            CheckStatus::Done(o) => assert!(o.verdict.is_violation()),
-            CheckStatus::Stopped { .. } => panic!("unlimited run cannot stop"),
-        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ run fig1
 run fig2
 run ablation
 
-echo "== pipeline bench (cold vs warm) =="
+echo "== pipeline bench (resume accounting, PDR and inprocessing probes) =="
 cargo run --release -q --bin gqed -- bench \
   --out "$out/BENCH_pipeline.json" | tee "$out/bench.txt"
 

@@ -38,8 +38,7 @@ const KNOBS: &[Flag] = &[
 ];
 /// Knobs of a local solver process: `campaign`, `mutants`, `serve`.
 const LOCAL: &[Flag] = &[
-    ("--cold", SWITCH),     // disable the warm-start pipeline (model cache, sessions)
-    ("--mem-limit", VALUE), // clause-arena bytes[K|M|G] per solver; stopped jobs retry cold
+    ("--mem-limit", VALUE), // clause-arena bytes[K|M|G] per solver; stopped jobs retry from frame 0
 ];
 /// A local campaign run: `campaign`, `mutants`. SIGINT/SIGTERM cancel it
 /// gracefully: in-flight solvers stop at the next poll, pending
@@ -151,7 +150,8 @@ const COMMANDS: &[Command] = &[
     // Fleet worker child (internal): work_request lines on stdin, answers on
     // stdout (EXPERIMENTS.md).
     Command("worker", "", &[], cmd_worker),
-    // Cold-vs-warm pipeline benchmark.
+    // Pipeline benchmark: one escalating campaign gated on exact resume
+    // accounting, plus the PDR and inprocessing probes.
     Command("bench", "", &[BENCH], cmd_bench),
     // The person-day cost model.
     Command("productivity", "", &[PRODUCTIVITY], cmd_productivity),
@@ -546,9 +546,7 @@ fn campaign_config(args: &Args) -> CampaignConfig {
             .unwrap_or_else(|e| args.fail(&format!("bad --engines '{list}': {e}"))),
         None => gqed::campaign::default_portfolio(),
     };
-    let mut config = CampaignConfig::default()
-        .with_engines(engines)
-        .with_warm_start(!args.has("--cold"));
+    let mut config = CampaignConfig::default().with_engines(engines);
     if let Some(jobs) = args.parsed("--jobs") {
         config = config.with_jobs(jobs);
     }
@@ -1012,30 +1010,20 @@ fn cmd_bench(args: &Args) {
     let quick = args.has("--quick");
     let out = args.value("--out").unwrap_or("BENCH_pipeline.json");
     let telemetry = open_telemetry(args);
-    eprintln!(
-        "bench: {} suite, cold then warm…",
-        if quick { "quick" } else { "full" }
-    );
+    eprintln!("bench: {} suite…", if quick { "quick" } else { "full" });
     let report = gqed::campaign::run_bench(quick, &telemetry);
     write_or_exit(out, &(report.to_json().render() + "\n"));
-    for run in [&report.cold, &report.warm] {
-        println!(
-            "{:4}  {:>8.2?}  {:>6} frames  {:>8.1} frames/s  {:>8} conflicts  {:>9} peak arena B  {} resumes",
-            run.mode,
-            run.wall,
-            run.frames_solved,
-            run.frames_per_sec(),
-            run.conflicts,
-            run.peak_arena_bytes,
-            run.session_resumes
-        );
-    }
+    let run = &report.warm;
     println!(
-        "frames saved warm vs cold: {} ({} obligations); report: {out}",
-        report
-            .cold
-            .frames_solved
-            .saturating_sub(report.warm.frames_solved),
+        "{:>8.2?}  {} frames ({} redone)  {:.1} frames/s  {} conflicts  {} peak arena B  \
+         {} resumes ({} obligations); report: {out}",
+        run.wall,
+        run.frames_solved,
+        run.frames_redone,
+        run.frames_per_sec(),
+        run.conflicts,
+        run.peak_arena_bytes,
+        run.session_resumes,
         report.obligations
     );
     let sp = &report.simplify;

@@ -14,6 +14,7 @@ fn gqed(args: &[&str]) -> Output {
 fn bad_flags_exit_2_with_one_line_naming_the_flag() {
     let cases: &[(&[&str], &str)] = &[
         (&["campaign", "relu", "--coldd"], "--coldd"),
+        (&["campaign", "relu", "--cold"], "--cold"),
         (&["campaign", "relu", "--no-race"], "--no-race"),
         (&["campaign", "relu", "--jobs"], "--jobs"),
         (
