@@ -9,7 +9,7 @@
 //! behavior, which would be unsound for BMC.
 //!
 //! New clauses are staged in a [`Cnf`] only until the next query drains
-//! them into the solver, so a long-lived engine (such as a parked,
+//! them into the solver, so a long-lived engine (such as a stopped,
 //! resumable campaign session) holds each clause once, in the solver's
 //! arena.
 
@@ -292,21 +292,6 @@ impl<'a> BmcEngine<'a> {
     /// purely a performance knob for A/B benchmarking.
     pub fn set_inprocessing(&mut self, on: bool) {
         self.solver.set_simplify(on);
-    }
-
-    /// Releases the spare capacity of the engine's solver
-    /// ([`Solver::trim`]) and of its assumption buffer, for an engine
-    /// parked after a stop until its next check. The next check resumes
-    /// with exactly the search it would have had untrimmed.
-    pub fn trim(&mut self) {
-        self.solver.trim();
-        self.assumption_buf = Vec::new();
-    }
-
-    /// Bytes the solver's clause arena and watch lists reserve beyond
-    /// their live contents ([`Solver::spare_bytes`]).
-    pub fn spare_bytes(&self) -> usize {
-        self.solver.spare_bytes()
     }
 
     /// Current metrics.

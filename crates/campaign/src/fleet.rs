@@ -8,10 +8,11 @@
 //! attached, each runner worker thread owns a [`Dispatcher`] that sends
 //! wire-representable obligations to a `gqed worker` *child process*
 //! over stdin/stdout (the same line-delimited JSON language as
-//! [`crate::api`]) instead of solving them on the thread. The runner
-//! keeps the queue, the per-obligation state and the settling; this
-//! module only speaks the child protocol and watches for three death
-//! shapes —
+//! [`crate::api`]) instead of solving them on the thread. The child runs
+//! the obligation's escalation attempts back to back, as the runner's
+//! in-process path does; the runner keeps the claiming and the settling,
+//! and this module only speaks the child protocol and watches for three
+//! death shapes —
 //!
 //! * **exit/signal** — the child's stdout closes and `wait` reports how
 //!   it died;
@@ -19,7 +20,7 @@
 //!   [`FleetConfig::heartbeat_timeout_ms`]) without dying, and the
 //!   dispatcher kills it;
 //! * **spawn failure** — the worker executable cannot start at all, and
-//!   the runner solves the attempt in-process.
+//!   the runner solves the obligation in-process.
 //!
 //! A crashed child is respawned under capped exponential backoff and its
 //! in-flight obligation is re-dispatched — until the obligation has
@@ -364,18 +365,14 @@ impl<'a> Dispatcher<'a> {
     }
 
     /// Solves obligation `id` on a worker child, one full obligation
-    /// solve per dispatch. A crash re-dispatches in place — the
-    /// obligation never re-enters the queue, so no other slot can race
-    /// it — until `crashes`, the obligation's campaign-wide crash count,
-    /// reaches the crash budget.
-    pub(crate) fn dispatch(
-        &mut self,
-        id: &str,
-        spec: &ObligationSpec,
-        crashes: &mut u32,
-    ) -> DispatchOutcome {
+    /// solve (every escalation attempt) per dispatch. A crash
+    /// re-dispatches in place — an obligation is dispatched by one slot
+    /// only, so no other slot can race it — until the obligation's crash
+    /// count reaches the crash budget.
+    pub(crate) fn dispatch(&mut self, id: &str, spec: &ObligationSpec) -> DispatchOutcome {
+        let mut crashes = 0u32;
         loop {
-            let dispatch = *crashes + 1;
+            let dispatch = crashes + 1;
             if self.child.is_none() {
                 if self.consecutive_crashes > 0 {
                     let delay = backoff_ms(self.fleet, self.consecutive_crashes);
@@ -433,7 +430,7 @@ impl<'a> Dispatcher<'a> {
             self.child = None;
             self.consecutive_crashes += 1;
             self.tally.crashes += 1;
-            *crashes += 1;
+            crashes += 1;
             self.telemetry.emit(
                 &JsonValue::obj()
                     .field("type", "worker_crash")
@@ -442,10 +439,10 @@ impl<'a> Dispatcher<'a> {
                     .field("pid", pid)
                     .field("dispatch", dispatch)
                     .field("cause", cause.as_str())
-                    .field("crashes", *crashes),
+                    .field("crashes", crashes),
             );
-            if *crashes >= self.fleet.crash_budget {
-                return DispatchOutcome::Poisoned { crashes: *crashes };
+            if crashes >= self.fleet.crash_budget {
+                return DispatchOutcome::Poisoned { crashes };
             }
             self.tally.requeued += 1;
             self.telemetry.emit(
@@ -454,7 +451,7 @@ impl<'a> Dispatcher<'a> {
                     .field("job", id)
                     .field("slot", self.slot)
                     .field("dispatch", dispatch)
-                    .field("crashes", *crashes),
+                    .field("crashes", crashes),
             );
             if self.cancel.load(Ordering::Relaxed) {
                 return DispatchOutcome::Cancelled;

@@ -3,9 +3,10 @@
 //! A *campaign* is the full set of verification obligations implied by the
 //! HA catalog: for every design, the clean-design proof obligations plus one
 //! bounded check per (bug version × flow ∈ {G-QED, A-QED, Conventional}).
-//! This crate enumerates those obligations into a shared work queue, runs
-//! them on a `std::thread` worker pool with per-job wall-clock deadlines and
-//! conflict budgets, escalates budgets Luby-style on timeout, isolates
+//! This crate enumerates those obligations, runs them on a `std::thread`
+//! worker pool with per-job wall-clock deadlines and conflict budgets,
+//! escalates budgets Luby-style on timeout (one obligation's attempts back
+//! to back on the worker that claimed it), isolates
 //! panicking jobs with `catch_unwind`, races an engine [`portfolio`]
 //! (bounded BMC, IC3/PDR) on clean designs under a
 //! cooperative cancellation flag, and records everything as JSONL

@@ -1,22 +1,23 @@
 //! The parallel campaign runner.
 //!
-//! Obligations go into a shared work queue; one worker loop per worker
-//! thread drains it. Each attempt runs under a conflict budget and
-//! wall-clock deadline scaled by the Luby sequence of the attempt number
-//! — a timed-out obligation goes back on the queue with a larger
-//! allowance until `max_attempts` is reached, at which point it is
-//! recorded as `timeout-escalated`. Panicking jobs are isolated with
-//! `catch_unwind` and recorded as `failed`; neither ever takes the
-//! campaign down. Everything the campaign knows about one obligation —
-//! accumulated wall-clock and frames, store key, memory degradation,
-//! fleet crash count, kept session, final record — lives in one record
-//! per obligation behind one lock, held only for field updates.
+//! Worker threads claim obligations from one shared cursor, and each
+//! worker settles the obligation it claimed completely before it claims
+//! the next. An obligation's attempts run back to back, each under a
+//! conflict budget and wall-clock deadline scaled by the Luby sequence of
+//! the attempt number; a stopped attempt's session is resumed by the next
+//! attempt at the frame where it stopped, until `max_attempts` is reached
+//! and the obligation is recorded as `timeout-escalated`. Panicking jobs
+//! are isolated with `catch_unwind` and recorded as `failed`; neither
+//! ever takes the campaign down. What an obligation has spent so far —
+//! its session, wall-clock, frames, store key — is local to the function
+//! settling it; workers return their records and the campaign assembles
+//! them in obligation order.
 //!
-//! An attempt is either solved on the worker thread or, when a
+//! An obligation is either solved on the worker thread or, when a
 //! [`Campaign::fleet`] is attached and the obligation has a wire form,
-//! handed to the thread's [`crate::fleet`] dispatcher, which runs it in a
-//! crash-isolated worker process and reports back an outcome the loop
-//! settles through the same bookkeeping.
+//! handed to the thread's [`crate::fleet`] dispatcher, which runs all of
+//! its attempts in a crash-isolated worker process on the same schedule
+//! and reports back the settled outcome.
 //!
 //! Clean-design proof obligations run an engine *portfolio*
 //! ([`CampaignConfig::engines`]): bounded BMC and IC3/PDR run
@@ -29,7 +30,7 @@
 //! plain session path instead (fully deterministic certificates, used by
 //! the table generators and the bench).
 //!
-//! Three robustness mechanisms wrap the queue (all optional):
+//! Three robustness mechanisms wrap the workers (all optional):
 //!
 //! * **journaling** — a campaign built with [`Campaign::journal`]
 //!   appends every verdict (fsync'd) and escalation attempt to a
@@ -38,9 +39,9 @@
 //!   obligations are skipped on `--resume`;
 //! * **memory degradation** — when the solver's clause arena exceeds
 //!   [`CampaignConfig::mem_limit`] the attempt stops with
-//!   [`StopReason::MemoryLimit`]; the worker sheds the obligation's kept
-//!   session and retries cold at the *base* budget (no Luby escalation —
-//!   a bigger budget would just hit the wall again);
+//!   [`StopReason::MemoryLimit`]; the worker drops the obligation's
+//!   session and retries from frame 0 at the *base* budget (no Luby
+//!   escalation — a bigger budget would just hit the wall again);
 //! * **cancellation** — raising [`CampaignConfig::interrupt`] (the CLI
 //!   wires SIGINT/SIGTERM to it) interrupts in-flight solvers; affected
 //!   obligations finish as `cancelled` with a journal checkpoint so a
@@ -52,6 +53,7 @@ use crate::journal::{Journal, ReplayedRecord, ResumeState};
 use crate::json::JsonValue;
 use crate::obligation::{Obligation, ObligationKind};
 use crate::portfolio::{default_portfolio, EngineId, PDR_QUERY_CAP};
+use crate::service::StopWaker;
 use crate::store::{derive_key, StoreKey, VerdictStore};
 use crate::telemetry::Telemetry;
 use gqed_bmc::{BmcEngine, BmcLimits, BmcStats, StopReason};
@@ -60,16 +62,15 @@ use gqed_ha::{all_designs, Design};
 use gqed_ir::Model;
 use gqed_pdr::{prove_pdr_limited, PdrOptions, PdrStats, PdrVerdict};
 use gqed_sat::{luby, Solver};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Campaign-wide configuration.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Worker threads draining the obligation queue.
+    /// Worker threads settling obligations.
     pub jobs: usize,
     /// Base per-attempt wall-clock deadline in milliseconds; scaled by
     /// `luby(attempt)` on retries. `None` = no deadline.
@@ -92,8 +93,8 @@ pub struct CampaignConfig {
     pub mem_limit: Option<usize>,
     /// Cooperative shutdown flag. When raised, in-flight solvers stop at
     /// their next poll, affected obligations finish as `cancelled`, and
-    /// queued obligations drain without running. The CLI raises it from
-    /// SIGINT/SIGTERM.
+    /// unclaimed obligations drain without running. The CLI raises it
+    /// from SIGINT/SIGTERM.
     pub interrupt: Option<Arc<AtomicBool>>,
     /// SAT-core inprocessing (subsumption, bounded variable elimination,
     /// vivification) on every session solver. On by default; a pure
@@ -433,46 +434,30 @@ enum AttemptResult {
     Stopped(StopReason),
 }
 
-struct QueueState {
-    pending: VecDeque<(usize, u32)>, // (obligation index, attempt number)
-    active: usize,
-}
-
-/// Everything the campaign tracks about one obligation across its
-/// attempts. Only the worker that popped the obligation touches its
-/// state, so the lock around the table is held for field updates only.
+/// What one obligation has spent so far — attempts, wall-clock (a
+/// cached verdict's stored wall), per-frame BMC queries — and where its
+/// verdict came from or goes: served from the verdict store (`cached`),
+/// or published there under `store_key` once settled.
 #[derive(Default)]
-struct JobState {
-    /// The settled record, once the obligation has a final verdict.
-    record: Option<JobRecord>,
-    /// Wall-clock across attempts (a cached verdict's stored wall).
+struct Spent {
+    attempts: u32,
     wall: Duration,
-    /// Per-frame BMC queries solved across attempts.
     frames: u64,
-    /// Verdict-store key, set by the first attempt's probe on a miss; the
-    /// settled verdict is published under it.
     store_key: Option<StoreKey>,
-    /// Whether the verdict was served from the verdict store.
     cached: bool,
-    /// Degraded to cold base-budget retries after a
-    /// [`StopReason::MemoryLimit`] stop.
-    mem_degraded: bool,
-    /// Worker crashes attributed to this obligation (fleet mode): the
-    /// quarantine budget compares against this.
-    crashes: u32,
-    /// Live session of a stopped attempt, kept so the retry resumes
-    /// mid-unrolling.
-    session: Option<CheckSession>,
 }
 
 struct Shared<'a> {
     obligations: &'a [Obligation],
     config: &'a CampaignConfig,
     telemetry: &'a Telemetry,
-    queue: Mutex<QueueState>,
-    cv: Condvar,
-    /// Per-obligation state, indexed like `obligations`.
-    jobs: Mutex<Vec<JobState>>,
+    /// Indices of the obligations to run (those not replayed from a
+    /// resume journal), in obligation order.
+    pending: Vec<usize>,
+    /// Position in `pending` of the next unclaimed obligation. `Relaxed`
+    /// suffices: `fetch_add` hands each position to exactly one worker,
+    /// and the cursor publishes no other data.
+    next: AtomicUsize,
     /// Synthesized models shared across obligations — and across
     /// batches, when the service supplies a persistent cache.
     cache: Arc<ModelCache>,
@@ -482,7 +467,7 @@ struct Shared<'a> {
     cache_hits: AtomicU64,
     /// Obligations that probed the store and missed this campaign.
     cache_misses: AtomicU64,
-    /// Attempts that resumed a kept session.
+    /// Attempts that resumed a stopped attempt's session.
     session_resumes: AtomicU64,
     /// Write-ahead journal, when the campaign is journaled.
     journal: Option<&'a Journal>,
@@ -495,11 +480,6 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// Runs `f` on obligation `index`'s state under the table lock.
-    fn job<R>(&self, index: usize, f: impl FnOnce(&mut JobState) -> R) -> R {
-        f(&mut self.jobs.lock().unwrap_or_else(|e| e.into_inner())[index])
-    }
-
     /// Appends a journal record; errors are counted and reported but
     /// never abort the campaign.
     fn journal_append(&self, record: &JsonValue, sync: bool) {
@@ -585,11 +565,12 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Attaches a content-addressed verdict store: each obligation's
-    /// first attempt probes the store and a hit is served without running
-    /// a solver (a `job_cached` telemetry event, `cache_hit: true` on the
-    /// verdict event, and the summary's `cache_hits` counter); settled
-    /// conclusive verdicts of misses are published back to the store.
+    /// Attaches a content-addressed verdict store: each obligation probes
+    /// the store before its first attempt and a hit is served without
+    /// running a solver (a `job_cached` telemetry event, `cache_hit: true`
+    /// on the verdict event, and the summary's `cache_hits` counter);
+    /// settled conclusive verdicts of misses are published back to the
+    /// store.
     pub fn verdict_store(mut self, store: &'a VerdictStore) -> Self {
         self.store = Some(store);
         self
@@ -625,13 +606,13 @@ impl<'a> Campaign<'a> {
         let t0 = Instant::now();
         let n = self.obligations.len();
 
-        // Replay settled verdicts from the resume state; queue the rest.
-        let mut jobs: Vec<JobState> = std::iter::repeat_with(JobState::default).take(n).collect();
-        let mut pending: VecDeque<(usize, u32)> = VecDeque::new();
+        // Replay settled verdicts from the resume state; run the rest.
+        let mut records: Vec<Option<JobRecord>> = vec![None; n];
+        let mut pending = Vec::new();
         let mut replayed = 0usize;
         for (i, obl) in self.obligations.iter().enumerate() {
             let Some(rr) = self.resume.and_then(|s| s.completed.get(&obl.id)) else {
-                pending.push_back((i, 1));
+                pending.push(i);
                 continue;
             };
             telemetry.emit(
@@ -642,7 +623,7 @@ impl<'a> Campaign<'a> {
                     .field("attempts", rr.attempts)
                     .field("source", "journal"),
             );
-            jobs[i].record = Some(JobRecord {
+            records[i] = Some(JobRecord {
                 obligation: obl.clone(),
                 verdict: rr.verdict.clone(),
                 attempts: rr.attempts,
@@ -668,9 +649,8 @@ impl<'a> Campaign<'a> {
             obligations: self.obligations,
             config: &self.config,
             telemetry,
-            queue: Mutex::new(QueueState { pending, active: 0 }),
-            cv: Condvar::new(),
-            jobs: Mutex::new(jobs),
+            pending,
+            next: AtomicUsize::new(0),
             cache,
             store: self.store,
             cache_hits: AtomicU64::new(0),
@@ -716,21 +696,21 @@ impl<'a> Campaign<'a> {
                     s.spawn(move || worker(shared_ref, dispatcher))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| join_side(h.join()))
-                .fold(FleetTally::default(), |a, b| FleetTally {
-                    crashes: a.crashes + b.crashes,
-                    restarts: a.restarts + b.restarts,
-                    requeued: a.requeued + b.requeued,
-                })
+            let mut tally = FleetTally::default();
+            for h in handles {
+                let (settled, t) = join_side(h.join());
+                for (i, record) in settled {
+                    records[i] = Some(record);
+                }
+                tally.crashes += t.crashes;
+                tally.restarts += t.restarts;
+                tally.requeued += t.requeued;
+            }
+            tally
         });
-        let records: Vec<JobRecord> = shared
-            .jobs
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
+        let records: Vec<JobRecord> = records
             .into_iter()
-            .map(|j| j.record.expect("every obligation ends in a verdict"))
+            .map(|r| r.expect("every obligation ends in a verdict"))
             .collect();
 
         let mut summary = CampaignSummary {
@@ -814,264 +794,198 @@ fn is_mismatch(obl: &Obligation, verdict: &JobVerdict) -> bool {
     }
 }
 
-/// The campaign worker loop, one per worker thread: pops attempts until
-/// the queue drains, settling each through the pre-solve checks and then
-/// either the fleet `dispatcher` (when attached) or an in-thread solve.
-/// Returns the dispatcher's crash tally.
-fn worker(shared: &Shared, mut dispatcher: Option<Dispatcher>) -> FleetTally {
-    while let Some((index, attempt)) = next_job(shared) {
-        let requeue = if preflight(shared, index, attempt) {
-            None
-        } else {
-            run_job(shared, dispatcher.as_mut(), index, attempt)
-        };
-        job_done(shared, requeue);
-    }
-    dispatcher.map(|d| d.tally).unwrap_or_default()
-}
-
-/// Pops the next attempt off the shared queue, or returns `None` when
-/// the queue is drained AND no attempt is in flight (an in-flight
-/// attempt may still re-enqueue its obligation for escalation).
-fn next_job(shared: &Shared) -> Option<(usize, u32)> {
-    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        if let Some(job) = q.pending.pop_front() {
-            q.active += 1;
-            return Some(job);
-        }
-        if q.active == 0 {
-            shared.cv.notify_all();
-            return None;
-        }
-        q = shared.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-    }
-}
-
-/// Returns a popped job to the queue bookkeeping: requeues an escalation
-/// attempt (if any) and releases the in-flight slot.
-fn job_done(shared: &Shared, requeue: Option<(usize, u32)>) {
-    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(job) = requeue {
-        q.pending.push_back(job);
-    }
-    q.active -= 1;
-    shared.cv.notify_all();
-}
-
-/// Pre-solve checks. Returns `true` when the obligation was settled
-/// without a solve: the shutdown drain (queued obligations finish as
-/// cancelled once the interrupt is raised, with a journal checkpoint so a
-/// resumed campaign re-runs them) and the content-addressed store probe
-/// (the first attempt probes before paying for a solve; the key needs the
-/// built model's fingerprint, so synthesis still happens on a hit — only
-/// solving is skipped).
-fn preflight(shared: &Shared, index: usize, attempt: u32) -> bool {
-    if shared.cancel.load(Ordering::Relaxed) {
-        cancel_job(shared, index, attempt - 1, None);
-        return true;
-    }
-    attempt == 1 && store_probe(shared, index)
-}
-
-/// Runs one attempt: on a fleet worker child when a dispatcher is
-/// attached and the obligation has a wire form, in-process otherwise
-/// (and when no child can be spawned). Returns the escalation job to
-/// requeue when the attempt stopped without settling.
-fn run_job(
+/// The campaign worker loop, one per worker thread: claims obligations
+/// until none is left and settles each one completely. Nothing is ever
+/// re-enqueued, so the cursor passing the end means the worker is done.
+/// Returns the settled records with their obligation indices, and the
+/// dispatcher's crash tally.
+fn worker(
     shared: &Shared,
-    dispatcher: Option<&mut Dispatcher>,
-    index: usize,
-    attempt: u32,
-) -> Option<(usize, u32)> {
+    mut dispatcher: Option<Dispatcher>,
+) -> (Vec<(usize, JobRecord)>, FleetTally) {
+    let mut settled = Vec::new();
+    while let Some(&index) = shared
+        .pending
+        .get(shared.next.fetch_add(1, Ordering::Relaxed))
+    {
+        settled.push((index, settle(shared, dispatcher.as_mut(), index)));
+    }
+    (settled, dispatcher.map(|d| d.tally).unwrap_or_default())
+}
+
+/// Settles obligation `index`: the shutdown drain (once the interrupt is
+/// raised, an unclaimed obligation finishes as cancelled without a probe
+/// or a solve), the content-addressed store probe, a fleet dispatch when
+/// a dispatcher is attached and the obligation has a wire form, and
+/// otherwise — also when no child can be spawned — the in-process
+/// attempts.
+fn settle(shared: &Shared, dispatcher: Option<&mut Dispatcher>, index: usize) -> JobRecord {
+    let mut spent = Spent::default();
+    if shared.cancel.load(Ordering::Relaxed) {
+        return cancel_job(shared, index, spent, None);
+    }
+    if let Some(record) = store_probe(shared, index, &mut spent) {
+        return record;
+    }
     let obl = &shared.obligations[index];
     let dispatch =
         dispatcher.and_then(|d| ObligationSpec::from_obligation(obl).map(|spec| (d, spec)));
     if let Some((d, spec)) = dispatch {
-        let mut crashes = shared.job(index, |j| j.crashes);
-        let outcome = d.dispatch(&obl.id, &spec, &mut crashes);
-        shared.job(index, |j| j.crashes = crashes);
-        match outcome {
+        match d.dispatch(&obl.id, &spec) {
             DispatchOutcome::Settled(r) => {
-                shared.job(index, |j| {
-                    j.wall += Duration::from_millis(r.wall_ms);
-                    j.frames += r.frames_solved;
-                });
-                finish(shared, index, r.verdict, r.attempts, r.engine, None, None);
-                return None;
+                spent.attempts = r.attempts;
+                spent.wall += Duration::from_millis(r.wall_ms);
+                spent.frames += r.frames_solved;
+                return finish(shared, index, spent, r.verdict, r.engine, None, None);
             }
             DispatchOutcome::Cancelled => {
-                cancel_job(shared, index, attempt, None);
-                return None;
+                spent.attempts = 1;
+                return cancel_job(shared, index, spent, None);
             }
             // Quarantine: a Poisoned verdict settles the obligation
             // without flipping anything — it is not conclusive, so the
             // store refuses it and a resumed campaign re-runs it.
             DispatchOutcome::Poisoned { crashes } => {
+                spent.attempts = crashes;
                 let verdict = JobVerdict::Poisoned { crashes };
-                finish(shared, index, verdict, crashes, "-", None, None);
-                return None;
+                return finish(shared, index, spent, verdict, "-", None, None);
             }
             DispatchOutcome::SpawnFailed => {}
         }
     }
-    solve_job(shared, index, attempt)
+    solve_attempts(shared, index, spent)
 }
 
-/// Runs one in-process attempt of one obligation to completion: limits
-/// derivation, warm-session resume, the solve itself (panic-isolated),
-/// and verdict/retry bookkeeping. Returns the escalation job to requeue
-/// when the attempt stopped without settling, `None` otherwise.
-fn solve_job(shared: &Shared, index: usize, attempt: u32) -> Option<(usize, u32)> {
+/// Runs obligation `index`'s attempts in-process, back to back, until one
+/// settles it or `max_attempts` are spent (at least one attempt always
+/// runs). Each attempt resumes the previous attempt's stopped session at
+/// the frame where it stopped, under a Luby-scaled budget and deadline;
+/// the solve itself is panic-isolated.
+fn solve_attempts(shared: &Shared, index: usize, mut spent: Spent) -> JobRecord {
     let obl = &shared.obligations[index];
-    // Memory-degraded obligations retry cold at the base budget: the
-    // Luby schedule would grow the clause arena straight back into the
-    // wall it just hit. Any other retry resumes the kept session of the
-    // previously stopped attempt.
-    let (degraded, mut session_slot) = shared.job(index, |j| (j.mem_degraded, j.session.take()));
-    let factor = if degraded {
-        1
-    } else {
-        luby(u64::from(attempt))
+    let config = shared.config;
+    let mut session: Option<CheckSession> = None;
+    // After a memory stop every retry starts from frame 0 at the base
+    // budget: the Luby schedule would grow the clause arena straight back
+    // into the wall it just hit.
+    let mut mem_degraded = false;
+    let scaled = |base: Option<u64>, attempt: u32, degraded: bool| {
+        let factor = if degraded {
+            1
+        } else {
+            luby(u64::from(attempt))
+        };
+        base.map(|b| b.saturating_mul(factor))
     };
-    let budget = shared.config.base_budget.map(|b| b.saturating_mul(factor));
-    let deadline_ms = shared
-        .config
-        .deadline_ms
-        .map(|ms| ms.saturating_mul(factor));
-    let limits = BmcLimits {
-        budget,
-        deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
-        interrupt: Some(Arc::clone(&shared.cancel)),
-        mem_limit: shared.config.mem_limit,
-    };
+    loop {
+        let resumed_from_frame = session.as_ref().map(CheckSession::resume_frame);
+        if shared.cancel.load(Ordering::Relaxed) {
+            return cancel_job(shared, index, spent, resumed_from_frame);
+        }
+        spent.attempts += 1;
+        let attempt = spent.attempts;
+        let budget = scaled(config.base_budget, attempt, mem_degraded);
+        let deadline_ms = scaled(config.deadline_ms, attempt, mem_degraded);
+        let limits = BmcLimits {
+            budget,
+            deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
+            interrupt: Some(Arc::clone(&shared.cancel)),
+            mem_limit: config.mem_limit,
+        };
+        if resumed_from_frame.is_some() {
+            shared.session_resumes.fetch_add(1, Ordering::Relaxed);
+        }
+        let encoding_reused =
+            session.is_some() || model_key(obl).is_some_and(|k| shared.cache.contains(&k));
+        shared.telemetry.emit(
+            &JsonValue::obj()
+                .field("type", "job_start")
+                .field("job", obl.id.as_str())
+                .field("design", obl.design)
+                .field("bug", obl.bug)
+                .field("flow", obl.flow_tag())
+                .field("attempt", attempt)
+                .field("budget", budget)
+                .field("deadline_ms", deadline_ms)
+                .field("resumed_from_frame", resumed_from_frame)
+                .field("encoding_reused", encoding_reused),
+        );
 
-    let resumed_from_frame = session_slot.as_ref().map(|s| s.resume_frame());
-    if resumed_from_frame.is_some() {
-        shared.session_resumes.fetch_add(1, Ordering::Relaxed);
-    }
-    let encoding_reused =
-        session_slot.is_some() || model_key(obl).is_some_and(|k| shared.cache.contains(&k));
-
-    shared.telemetry.emit(
-        &JsonValue::obj()
-            .field("type", "job_start")
-            .field("job", obl.id.as_str())
-            .field("design", obl.design)
-            .field("bug", obl.bug)
-            .field("flow", obl.flow_tag())
-            .field("attempt", attempt)
-            .field("budget", budget)
-            .field("deadline_ms", deadline_ms)
-            .field("resumed_from_frame", resumed_from_frame)
-            .field("encoding_reused", encoding_reused),
-    );
-
-    let t0 = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_attempt(
-            obl,
-            &limits,
-            shared.config,
-            &shared.cache,
-            &mut session_slot,
-        )
-    }));
-    let attempt_wall = t0.elapsed();
-    let frames = outcome.as_ref().map_or(0, |(_, frames)| *frames);
-    shared.job(index, |j| {
-        j.wall += attempt_wall;
-        j.frames += frames;
-    });
-
-    match outcome {
-        Ok((AttemptResult::Verdict(verdict, stats, engine, pdr_stats), _)) => {
-            if shared.cancel.load(Ordering::Relaxed)
-                && matches!(verdict, JobVerdict::Unknown { .. })
-            {
+        let t0 = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_attempt(obl, &limits, config, &shared.cache, &mut session)
+        }));
+        spent.wall += t0.elapsed();
+        spent.frames += outcome.as_ref().map_or(0, |(_, frames)| *frames);
+        let stopped_at = session.as_ref().map(CheckSession::resume_frame);
+        let reason = match outcome {
+            Ok((AttemptResult::Verdict(verdict, stats, engine, pdr_stats), _)) => {
                 // An Unknown reached during shutdown is an artifact of
                 // the interrupt (the BMC side was cut short), not a
                 // genuine exhaustion — record it as cancelled so the
                 // resumed campaign re-runs it to the same verdict an
                 // uninterrupted run would reach.
-                let frame = session_slot.as_ref().map(|s| s.resume_frame());
-                cancel_job(shared, index, attempt, frame);
-            } else {
+                if shared.cancel.load(Ordering::Relaxed)
+                    && matches!(verdict, JobVerdict::Unknown { .. })
+                {
+                    return cancel_job(shared, index, spent, stopped_at);
+                }
                 let (stats, pdr_stats) = (stats.map(|b| *b), pdr_stats.map(|b| *b));
-                finish(shared, index, verdict, attempt, engine, stats, pdr_stats);
+                return finish(shared, index, spent, verdict, engine, stats, pdr_stats);
             }
-        }
-        Ok((AttemptResult::Stopped(reason), _)) => {
-            if shared.cancel.load(Ordering::Relaxed) {
-                let frame = session_slot.as_ref().map(|s| s.resume_frame());
-                cancel_job(shared, index, attempt, frame);
-            } else if attempt < shared.config.max_attempts {
-                // A memory stop sheds the session (its learnt clauses are
-                // the memory) and pins future attempts to the base
-                // budget.
-                let memory_stopped = reason == StopReason::MemoryLimit;
-                let next_factor = if memory_stopped || degraded {
-                    1
-                } else {
-                    luby(u64::from(attempt + 1))
+            Ok((AttemptResult::Stopped(reason), _)) => reason,
+            Err(payload) => {
+                let verdict = JobVerdict::Failed {
+                    message: panic_message(payload.as_ref()),
                 };
-                shared.journal_append(
-                    &JsonValue::obj()
-                        .field("type", "attempt")
-                        .field("job", obl.id.as_str())
-                        .field("attempt", attempt)
-                        .field("reason", stop_tag(reason)),
-                    false,
-                );
-                shared.telemetry.emit(
-                    &JsonValue::obj()
-                        .field("type", "job_retry")
-                        .field("job", obl.id.as_str())
-                        .field("attempt", attempt)
-                        .field("reason", stop_tag(reason))
-                        .field(
-                            "next_budget",
-                            shared
-                                .config
-                                .base_budget
-                                .map(|b| b.saturating_mul(next_factor)),
-                        )
-                        .field(
-                            "next_deadline_ms",
-                            shared
-                                .config
-                                .deadline_ms
-                                .map(|ms| ms.saturating_mul(next_factor)),
-                        ),
-                );
-                // Keep the live session unless a memory stop sheds it:
-                // the retry resumes at the stopped frame with all learnt
-                // clauses intact.
-                shared.job(index, |j| {
-                    j.mem_degraded |= memory_stopped;
-                    j.session = if memory_stopped { None } else { session_slot };
-                });
-                return Some((index, attempt + 1));
-            } else {
-                let verdict = JobVerdict::TimeoutEscalated { attempts: attempt };
-                finish(shared, index, verdict, attempt, "-", None, None);
+                return finish(shared, index, spent, verdict, "-", None, None);
             }
+        };
+        if shared.cancel.load(Ordering::Relaxed) {
+            return cancel_job(shared, index, spent, stopped_at);
         }
-        Err(payload) => {
-            let verdict = JobVerdict::Failed {
-                message: panic_message(payload.as_ref()),
-            };
-            finish(shared, index, verdict, attempt, "-", None, None);
+        if attempt >= config.max_attempts {
+            let verdict = JobVerdict::TimeoutEscalated { attempts: attempt };
+            return finish(shared, index, spent, verdict, "-", None, None);
         }
+        // A memory stop drops the session (its learnt clauses are the
+        // memory); any other stop keeps it, so the retry resumes at the
+        // stopped frame with all learnt clauses intact.
+        if reason == StopReason::MemoryLimit {
+            mem_degraded = true;
+            session = None;
+        }
+        shared.journal_append(
+            &JsonValue::obj()
+                .field("type", "attempt")
+                .field("job", obl.id.as_str())
+                .field("attempt", attempt)
+                .field("reason", stop_tag(reason)),
+            false,
+        );
+        shared.telemetry.emit(
+            &JsonValue::obj()
+                .field("type", "job_retry")
+                .field("job", obl.id.as_str())
+                .field("attempt", attempt)
+                .field("reason", stop_tag(reason))
+                .field(
+                    "next_budget",
+                    scaled(config.base_budget, attempt + 1, mem_degraded),
+                )
+                .field(
+                    "next_deadline_ms",
+                    scaled(config.deadline_ms, attempt + 1, mem_degraded),
+                ),
+        );
     }
-    None
 }
 
 /// Finishes an obligation as [`JobVerdict::Cancelled`] and writes a
-/// journal *checkpoint* record (not a verdict — a resumed campaign must
-/// re-run cancelled obligations, and [`ResumeState`] only skips settled
-/// verdicts).
-fn cancel_job(shared: &Shared, index: usize, attempts: u32, frame: Option<u32>) {
+/// journal *checkpoint* record carrying the session's stopped frame, if
+/// it had one (not a verdict — a resumed campaign must re-run cancelled
+/// obligations, and [`ResumeState`] only skips settled verdicts).
+fn cancel_job(shared: &Shared, index: usize, spent: Spent, frame: Option<u32>) -> JobRecord {
     let obl = &shared.obligations[index];
     shared.journal_append(
         &JsonValue::obj()
@@ -1080,15 +994,7 @@ fn cancel_job(shared: &Shared, index: usize, attempts: u32, frame: Option<u32>) 
             .field("frame", frame),
         false,
     );
-    finish(
-        shared,
-        index,
-        JobVerdict::Cancelled,
-        attempts,
-        "-",
-        None,
-        None,
-    );
+    finish(shared, index, spent, JobVerdict::Cancelled, "-", None, None)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1116,22 +1022,26 @@ fn stop_tag(reason: StopReason) -> &'static str {
     }
 }
 
-/// Settles obligation `index`: the `job_verdict` telemetry event, the
-/// fsync'd journal verdict record, the verdict-store publication and the
-/// summary record. Wall-clock, frames solved and the store key come from
-/// the obligation's [`JobState`].
+/// Settles obligation `index` with what it `spent`: the `job_verdict`
+/// telemetry event, the fsync'd journal verdict record and the
+/// verdict-store publication. Returns the summary record.
 fn finish(
     shared: &Shared,
     index: usize,
+    spent: Spent,
     verdict: JobVerdict,
-    attempts: u32,
     engine: &'static str,
     stats: Option<BmcStats>,
     pdr_stats: Option<PdrStats>,
-) {
+) -> JobRecord {
     let obl = &shared.obligations[index];
-    let (wall, frames_solved, store_key, cached) =
-        shared.job(index, |j| (j.wall, j.frames, j.store_key, j.cached));
+    let Spent {
+        attempts,
+        wall,
+        frames: frames_solved,
+        store_key,
+        cached,
+    } = spent;
     let mismatch = is_mismatch(obl, &verdict);
     let mut ev = JsonValue::obj()
         .field("type", "job_verdict")
@@ -1215,7 +1125,7 @@ fn finish(
             eprintln!("verdict store write failed: {e}");
         }
     }
-    let record = JobRecord {
+    JobRecord {
         obligation: obl.clone(),
         verdict,
         attempts,
@@ -1226,8 +1136,7 @@ fn finish(
         frames_solved,
         mismatch,
         cached,
-    };
-    shared.job(index, |j| j.record = Some(record));
+    }
 }
 
 fn build_design(obl: &Obligation) -> Design {
@@ -1273,35 +1182,32 @@ fn model_key(obl: &Obligation) -> Option<ModelKey> {
     obligation_check_kind(obl).map(|kind| cache_model_key(obl, kind))
 }
 
-/// Probes the content-addressed verdict store for this obligation.
-/// Returns `true` when the obligation was finished from a stored verdict
-/// (no solver runs). On a miss, remembers the derived key so the settled
-/// verdict is published to the store by [`finish`].
-fn store_probe(shared: &Shared, index: usize) -> bool {
-    let Some(store) = shared.store else {
-        return false;
-    };
+/// Probes the content-addressed verdict store for this obligation
+/// before paying for a solve (the key needs the built model's
+/// fingerprint, so synthesis still happens on a hit — only solving is
+/// skipped). Returns the record finished from a stored verdict. On a
+/// miss, remembers the derived key in `spent` so the settled verdict is
+/// published to the store by [`finish`].
+fn store_probe(shared: &Shared, index: usize, spent: &mut Spent) -> Option<JobRecord> {
+    let store = shared.store?;
     let obl = &shared.obligations[index];
-    let Some(kind) = obligation_check_kind(obl) else {
-        return false; // debug obligations have no model, hence no key
-    };
+    // Debug obligations have no model, hence no key.
+    let kind = obligation_check_kind(obl)?;
     // Building a model panics on an unknown design; skip the probe and
     // let the normal attempt path hit the same panic, which the worker
     // isolates into a Failed verdict. The fingerprint is the one
     // memoised beside the cached model.
-    let key = match catch_unwind(AssertUnwindSafe(|| {
+    let key = catch_unwind(AssertUnwindSafe(|| {
         let fingerprint = shared.cache.fingerprint(cache_model_key(obl, kind), || {
             build_model(&build_design(obl), kind)
         });
         derive_key(fingerprint, obl, shared.config)
-    })) {
-        Ok(key) => key,
-        Err(_) => return false,
-    };
+    }))
+    .ok()?;
     let Some(rr) = store.get(key) else {
         shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-        shared.job(index, |j| j.store_key = Some(key));
-        return false;
+        spent.store_key = Some(key);
+        return None;
     };
     shared.cache_hits.fetch_add(1, Ordering::Relaxed);
     shared.telemetry.emit(
@@ -1313,21 +1219,16 @@ fn store_probe(shared: &Shared, index: usize) -> bool {
             .field("engine", rr.engine)
             .field("source", "verdict-store"),
     );
-    shared.job(index, |j| {
-        j.wall = Duration::from_millis(rr.wall_ms);
-        j.frames = rr.frames_solved;
-        j.cached = true;
-    });
-    finish(
-        shared,
-        index,
-        rr.verdict,
-        rr.attempts,
-        rr.engine,
-        None,
-        None,
-    );
-    true
+    let spent = Spent {
+        attempts: rr.attempts,
+        wall: Duration::from_millis(rr.wall_ms),
+        frames: rr.frames_solved,
+        store_key: None,
+        cached: true,
+    };
+    Some(finish(
+        shared, index, spent, rr.verdict, rr.engine, None, None,
+    ))
 }
 
 /// The synthesized model for this obligation's flow, from the shared
@@ -1477,9 +1378,29 @@ fn portfolio_prove_clean(
     let has = |e: EngineId| engines.contains(&e);
 
     let ((bmc_status, session), pdr_out) = std::thread::scope(|s| {
+        // The portfolio replaces the caller's interrupt with its own
+        // flag, so a campaign-wide shutdown must be forwarded in or the
+        // sides would run to their budgets oblivious of it. The guard
+        // raises the flag and wakes the forwarder when the scope ends,
+        // also when a side's panic unwinds through it, so the scope's
+        // join never waits on the forwarder or on a side left running.
+        let flag: &AtomicBool = &cancel;
+        let _stop = limits.interrupt.as_deref().map(|outer| {
+            let forwarder = s.spawn(move || {
+                while !flag.load(Ordering::Relaxed) {
+                    if outer.load(Ordering::Relaxed) {
+                        flag.store(true, Ordering::Relaxed);
+                    }
+                    std::thread::park_timeout(Duration::from_millis(5));
+                }
+            });
+            StopWaker {
+                done: flag,
+                waker: forwarder.thread().clone(),
+            }
+        });
         let bmc = if has(EngineId::Bmc) {
             let bmc_limits = side_limits.clone();
-            let bmc_cancel = Arc::clone(&cancel);
             let mut session = session;
             Ok(s.spawn(move || {
                 let r = session.run(&bmc_limits);
@@ -1488,7 +1409,7 @@ fn portfolio_prove_clean(
                 if matches!(&r, CheckStatus::Done(o)
                     if matches!(o.verdict, Verdict::Violation { .. }))
                 {
-                    bmc_cancel.store(true, Ordering::Relaxed);
+                    flag.store(true, Ordering::Relaxed);
                 }
                 (r, session)
             }))
@@ -1497,32 +1418,14 @@ fn portfolio_prove_clean(
         };
         let pdr = has(EngineId::Pdr).then(|| {
             let pdr_limits = side_limits.clone();
-            let pdr_cancel = Arc::clone(&cancel);
             s.spawn(move || {
                 let r = run_pdr_side(model, &pdr_limits);
                 if matches!(r.0, PdrSide::Violation { .. } | PdrSide::Proven { .. }) {
-                    pdr_cancel.store(true, Ordering::Relaxed);
+                    flag.store(true, Ordering::Relaxed);
                 }
                 r
             })
         });
-        // The portfolio replaces the caller's interrupt with its own
-        // flag, so a campaign-wide shutdown must be forwarded in or the
-        // sides would run to their budgets oblivious of it.
-        let done = Arc::new(AtomicBool::new(false));
-        if let Some(outer) = limits.interrupt.clone() {
-            let fwd_cancel = Arc::clone(&cancel);
-            let fwd_done = Arc::clone(&done);
-            s.spawn(move || {
-                while !fwd_done.load(Ordering::Relaxed) {
-                    if outer.load(Ordering::Relaxed) {
-                        fwd_cancel.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            });
-        }
         let bmc_out = match bmc {
             Ok(h) => {
                 let (r, session) = join_side(h.join());
@@ -1530,9 +1433,7 @@ fn portfolio_prove_clean(
             }
             Err(session) => (None, session),
         };
-        let pdr_out = pdr.map(|h| join_side(h.join()));
-        done.store(true, Ordering::Relaxed);
-        (bmc_out, pdr_out)
+        (bmc_out, pdr.map(|h| join_side(h.join())))
     });
 
     let (pdr_side, pdr_stats) = match pdr_out {
@@ -1759,6 +1660,39 @@ mod tests {
         for r in &summary.records {
             assert_eq!(r.verdict, JobVerdict::Cancelled);
         }
+    }
+
+    #[test]
+    fn a_panicking_portfolio_side_returns_its_panic_promptly() {
+        // A state reset to an input rather than a constant: PDR's
+        // encoder rejects it with a panic.
+        let mut ctx = gqed_ir::Context::new();
+        let input = ctx.input("i", 1);
+        let state = ctx.state("s", 1);
+        let mut ts = gqed_ir::TransitionSystem::new("input-reset");
+        ts.inputs.push(input);
+        ts.add_state(state, Some(input), state);
+        ts.add_bad("s", state);
+        let model = Arc::new(Model { ctx, ts });
+        let (tx, rx) = std::sync::mpsc::channel();
+        // On a hang the thread is leaked and the timeout fails the test.
+        let handle = std::thread::spawn(move || {
+            let session = CheckSession::new(CheckKind::GQed, 4, Arc::clone(&model));
+            let limits = BmcLimits {
+                interrupt: Some(Arc::new(AtomicBool::new(false))),
+                ..BmcLimits::default()
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                portfolio_prove_clean(&model, session, &limits, &[EngineId::Pdr])
+            }));
+            let _ = tx.send(outcome.is_err());
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(30)),
+            Ok(true),
+            "the side's panic must unwind out of the portfolio"
+        );
+        handle.join().expect("the test thread catches the panic");
     }
 
     #[test]

@@ -204,11 +204,12 @@ fn wake_on_interrupt(interrupt: &AtomicBool, done: &AtomicBool, addr: SocketAddr
     }
 }
 
-/// Stops the waker when the accept loop ends, by return or by unwind,
-/// so the thread scope around them can join.
-struct StopWaker<'a> {
-    done: &'a AtomicBool,
-    waker: Thread,
+/// Raises `done` and wakes the `waker` thread when dropped, by return or
+/// by unwind, so a thread scope around both can join: here when the
+/// accept loop ends, in the runner when a portfolio attempt ends.
+pub(crate) struct StopWaker<'a> {
+    pub(crate) done: &'a AtomicBool,
+    pub(crate) waker: Thread,
 }
 
 impl Drop for StopWaker<'_> {

@@ -42,7 +42,7 @@ use crate::json::JsonValue;
 use crate::obligation::{Obligation, ObligationKind};
 use crate::portfolio::EngineId;
 use crate::runner::CampaignConfig;
-use gqed_core::fnv1a64_extend;
+use gqed_core::{fnv1a64, fnv1a64_extend};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -76,7 +76,7 @@ impl StoreKey {
 /// Components are folded with explicit separators so no two distinct
 /// component sequences collide by concatenation.
 pub fn derive_key(fingerprint: u64, obl: &Obligation, config: &CampaignConfig) -> StoreKey {
-    let mut h = fnv1a64_extend(0xcbf2_9ce4_8422_2325, &fingerprint.to_be_bytes());
+    let mut h = fnv1a64(&fingerprint.to_be_bytes());
     let mut fold = |part: &str| {
         h = fnv1a64_extend(h, part.as_bytes());
         h = fnv1a64_extend(h, b"\x1f");

@@ -22,14 +22,7 @@ fn injected_obligations() -> Vec<Obligation> {
             kind: ObligationKind::DebugPanic,
             expect_violation: None,
         },
-        Obligation {
-            id: "debug/exhaust".to_string(),
-            design: "relu",
-            bug: None,
-            mutation: None,
-            kind: ObligationKind::DebugExhaust,
-            expect_violation: None,
-        },
+        exhausting("debug/exhaust"),
         Obligation {
             id: "relu/clean/conv".to_string(),
             design: "relu",
@@ -158,4 +151,59 @@ fn deadline_escalation_eventually_completes_a_real_check() {
         r.verdict,
         r.attempts
     );
+}
+
+/// An obligation that no sane conflict budget lets finish.
+fn exhausting(id: &str) -> Obligation {
+    Obligation {
+        id: id.to_string(),
+        design: "relu",
+        bug: None,
+        mutation: None,
+        kind: ObligationKind::DebugExhaust,
+        expect_violation: None,
+    }
+}
+
+/// The `job` field of every `job_start` event, in stream order.
+fn started_jobs(lines: &[String]) -> Vec<String> {
+    lines
+        .iter()
+        .filter_map(|l| parse_json(l))
+        .filter(|v| v.get("type").and_then(|t| t.as_str()) == Some("job_start"))
+        .map(|v| v.get("job").and_then(|j| j.as_str()).unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn a_worker_runs_one_obligations_attempts_back_to_back() {
+    let (telemetry, buf) = Telemetry::buffer();
+    let config = CampaignConfig::default()
+        .with_jobs(1)
+        .with_base_budget(50)
+        .with_max_attempts(3);
+    let obls = vec![exhausting("a"), exhausting("b")];
+    let summary = Campaign::new(&obls).config(config).run(&telemetry);
+    for r in &summary.records {
+        assert_eq!(r.verdict, JobVerdict::TimeoutEscalated { attempts: 3 });
+    }
+    assert_eq!(
+        started_jobs(&buf.lines()),
+        ["a", "a", "a", "b", "b", "b"],
+        "every attempt of one obligation runs before the next obligation starts"
+    );
+}
+
+#[test]
+fn zero_max_attempts_still_makes_exactly_one_attempt() {
+    let (telemetry, buf) = Telemetry::buffer();
+    let config = CampaignConfig::default()
+        .with_base_budget(50)
+        .with_max_attempts(0);
+    let obls = vec![exhausting("a")];
+    let summary = Campaign::new(&obls).config(config).run(&telemetry);
+    let r = &summary.records[0];
+    assert_eq!(r.verdict, JobVerdict::TimeoutEscalated { attempts: 1 });
+    assert_eq!(r.attempts, 1);
+    assert_eq!(started_jobs(&buf.lines()), ["a"]);
 }

@@ -18,37 +18,8 @@
 
 use gqed_ir::{to_btor2, Model};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a 64-bit hash of a byte string.
-///
-/// Small, dependency-free, and stable across platforms and releases —
-/// the properties a persistent store key needs. Not cryptographic; the
-/// verdict store is a cache keyed by trusted local inputs, not an
-/// integrity boundary.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Extend an FNV-1a 64-bit hash with more bytes.
-///
-/// Used to fold multiple key components (fingerprint, flow, bounds,
-/// engine set, config) into one store key without intermediate strings.
-pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+// The hash lives in `gqed-logic`; re-exported where callers found it.
+pub use gqed_ir::gqed_logic::fnv::{fnv1a64, fnv1a64_extend};
 
 /// Stable fingerprint of a built model's IR.
 ///
@@ -70,16 +41,6 @@ mod tests {
 
     fn entry(name: &str) -> gqed_ha::DesignEntry {
         all_designs().into_iter().find(|e| e.name == name).unwrap()
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-        // Extend is equivalent to hashing the concatenation.
-        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -223,8 +223,8 @@ impl CheckSession {
     }
 
     /// Runs — or, after a stop, resumes — the check under `limits`. A
-    /// stopped run trims the engine ([`BmcEngine::trim`]) before it
-    /// returns, so a parked session holds no spare solver capacity.
+    /// stopped session keeps its unrolling and learnt clauses, so the
+    /// next run resumes at the stopped frame.
     pub fn run(&mut self, limits: &BmcLimits) -> CheckStatus {
         let start = Instant::now();
         let result = self.engine.try_check_up_to(self.bound, limits);
@@ -250,16 +250,13 @@ impl CheckSession {
                 stats,
                 elapsed,
             }),
-            BmcStatus::Stopped { frame, reason } => {
-                self.engine.trim();
-                CheckStatus::Stopped {
-                    kind,
-                    frame,
-                    reason,
-                    stats,
-                    elapsed,
-                }
-            }
+            BmcStatus::Stopped { frame, reason } => CheckStatus::Stopped {
+                kind,
+                frame,
+                reason,
+                stats,
+                elapsed,
+            },
         }
     }
 }
@@ -326,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn stopped_session_is_parked_trimmed_and_resumes_to_the_same_verdict() {
+    fn stopped_session_resumes_to_the_same_verdict() {
         let d = accum::build(&accum::Params::default(), Some("carry-leak"));
         let expected =
             match CheckSession::for_design(&d, CheckKind::GQed, 16).run(&BmcLimits::default()) {
@@ -341,14 +338,7 @@ mod tests {
                 ..BmcLimits::default()
             };
             match session.run(&limits) {
-                CheckStatus::Stopped { .. } => {
-                    stops += 1;
-                    assert_eq!(
-                        session.engine.spare_bytes(),
-                        0,
-                        "parked with spare capacity"
-                    );
-                }
+                CheckStatus::Stopped { .. } => stops += 1,
                 CheckStatus::Done(o) => {
                     assert!(stops > 0, "the first budget already sufficed");
                     assert_eq!(format!("{:?}", o.verdict), expected);

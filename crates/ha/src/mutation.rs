@@ -52,7 +52,7 @@ use crate::catalog::DesignEntry;
 use crate::iface::Design;
 use gqed_ir::ts::substitute_all;
 use gqed_ir::{influence_cone, reachable_terms, to_btor2, Context, Op, TermId};
-use gqed_logic::SplitMix64;
+use gqed_logic::{fnv1a64, SplitMix64};
 use std::collections::HashMap;
 
 /// The synthesized bug classes. `NoopControl` and `FoldNoop` are negative
@@ -145,17 +145,6 @@ pub struct Mutant {
     pub label: String,
     /// Reachability-derived ground truth per flow.
     pub detectable: FlowDetectability,
-}
-
-/// FNV-1a 64 over a string — local copy for seed mixing (`gqed-core`
-/// depends on this crate, so the fingerprint module can't be used here).
-fn fnv1a64_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Deterministic BTOR2 rendering of the design *with its transactional
@@ -357,7 +346,7 @@ fn detectability(d: &Design, targets: &[TermId]) -> FlowDetectability {
 
 /// Mixes `(seed, design, ordinal)` into one SplitMix64 stream seed.
 fn stream_seed(seed: u64, design: &str, ordinal: u64) -> u64 {
-    seed ^ fnv1a64_str(design) ^ ordinal.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    seed ^ fnv1a64(design.as_bytes()) ^ ordinal.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Synthesizes the mutant `(seed, ordinal)` of a design — a pure function

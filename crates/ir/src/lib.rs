@@ -36,6 +36,10 @@ pub mod term;
 pub mod ts;
 pub mod vcd;
 
+/// The bit-level substrate, re-exported because [`BitBlaster`] takes and
+/// returns its AIG types.
+pub use gqed_logic;
+
 pub use bitblast::BitBlaster;
 pub use btor2::to_btor2;
 pub use btor2_parse::from_btor2;

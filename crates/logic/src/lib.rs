@@ -14,7 +14,8 @@
 //!
 //! It also hosts [`rng`] — a tiny deterministic splitmix64 PRNG shared by
 //! tests, benchmarks and the simulation baseline so the workspace needs no
-//! external randomness crate and builds fully offline.
+//! external randomness crate and builds fully offline — and [`fnv`], the
+//! FNV-1a hash behind model fingerprints, store keys and mutant seeds.
 //!
 //! The crate is dependency-free and independent of the SAT solver: the
 //! solver (`gqed-sat`) consumes DIMACS-style clauses, so either side can be
@@ -24,11 +25,13 @@
 pub mod aig;
 pub mod aiger;
 pub mod cnf;
+pub mod fnv;
 pub mod rng;
 pub mod tseitin;
 
 pub use aig::{Aig, AigLit};
 pub use aiger::to_aiger;
 pub use cnf::Cnf;
+pub use fnv::{fnv1a64, fnv1a64_extend};
 pub use rng::SplitMix64;
 pub use tseitin::Tseitin;

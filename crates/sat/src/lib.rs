@@ -31,9 +31,6 @@
 //!   counting deletions since the last *scheduled* compaction: that
 //!   compaction backtracks to the root, which acts as a restart, so it
 //!   must fall at the same conflicts whatever else compacted.
-//! * **Trimming.** [`Solver::trim`] hands the spare capacity of the
-//!   arena, the watch lists, the trail and the scratch buffers back to
-//!   the allocator, for a caller that parks a stopped solver.
 //! * **Watchers** are 8 bytes: the clause offset with a binary-clause tag
 //!   bit, and a blocker literal. Assignments are one `i8` per literal
 //!   code, so a literal's value is a single load.
@@ -46,9 +43,9 @@
 //!   storage change may alter them: the literals within each clause, the
 //!   watchers within each list, and the allocation order of learnt
 //!   clauses that database reduction's stable sort breaks ties by.
-//!   Compaction and trimming keep all three, and neither moves a clause
-//!   relative to another, so when and how often they run is not part of
-//!   the search — only the backtrack of a scheduled compaction is.
+//!   Compaction keeps all three and never moves a clause relative to
+//!   another, so when and how often it runs is not part of the search —
+//!   only the backtrack of a scheduled compaction is.
 //!   `tests/search_identity.rs` pins the search counters that would move
 //!   if one did.
 //!

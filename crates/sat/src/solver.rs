@@ -2,7 +2,7 @@
 
 mod simplify;
 
-use crate::clause::{ClauseDb, ClauseRef, Tier, CORE_LBD_MAX, HEADER, MID_LBD_MAX};
+use crate::clause::{ClauseDb, ClauseRef, Tier, CORE_LBD_MAX, MID_LBD_MAX};
 use crate::drat::ProofStep;
 use crate::heap::VarHeap;
 use crate::lit::{Lit, Var};
@@ -41,17 +41,6 @@ pub enum SolveOutcome {
     MemoryLimit,
 }
 
-impl SolveOutcome {
-    /// The definite verdict, if the search reached one.
-    pub fn verdict(self) -> Option<SatResult> {
-        match self {
-            SolveOutcome::Sat => Some(SatResult::Sat),
-            SolveOutcome::Unsat => Some(SatResult::Unsat),
-            _ => None,
-        }
-    }
-}
-
 /// Cumulative search statistics, exposed for the evaluation tables.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolverStats {
@@ -70,14 +59,14 @@ pub struct SolverStats {
     /// Number of scheduled clause-arena compactions: database
     /// reduction's, emergency reclamation's and explicit
     /// [`Solver::compact`] calls. The compaction that ends every
-    /// inprocessing pass and the one in [`Solver::trim`] are not counted.
+    /// inprocessing pass is not counted.
     pub compactions: u64,
     /// High-water mark of clause-arena bytes: the capacity of the one
     /// flat arena, 4 bytes per header word or literal slot, tombstones
     /// and the slack of clauses shrunk in place included until the next
     /// compaction (at the latest, the end of the next inprocessing pass)
-    /// reclaims them. Compaction keeps the capacity and
-    /// [`Solver::trim`] releases it, but the mark never falls.
+    /// reclaims them. Compaction keeps the capacity, and the mark never
+    /// falls.
     pub peak_arena_bytes: usize,
     /// Number of emergency learnt-clause purges forced by the memory
     /// limit ([`Solver::set_memory_limit`]).
@@ -1212,10 +1201,9 @@ impl Solver {
 
     /// The compaction itself, off the schedule: cleans every watch list
     /// (order kept), slides the arena down and relocates every reference.
-    /// Run at the root after each inprocessing pass and when a stopped
-    /// caller [trims](Solver::trim) the solver; neither counts as a
-    /// compaction nor moves database reduction's schedule, so the search
-    /// is the same as without them.
+    /// Run at the root after each inprocessing pass; it neither counts as
+    /// a compaction nor moves database reduction's schedule, so the
+    /// search is the same as without it.
     fn reclaim(&mut self) {
         self.cancel_until(0);
         for code in 0..self.watches.len() {
@@ -1236,47 +1224,6 @@ impl Solver {
         }
     }
 
-    /// Releases every spare allocation between solve calls: reclaims the
-    /// arena's tombstones, then shrinks the arena, each watch list, the
-    /// trail and the search's scratch buffers to what they hold. For a
-    /// long-lived caller about to park the solver (a stopped, resumable
-    /// check). Capacity never steers the search, so a trimmed solver
-    /// searches exactly as an untrimmed one would; it only regrows the
-    /// buffers it uses.
-    pub fn trim(&mut self) {
-        self.reclaim();
-        self.db.shrink();
-        for ws in &mut self.watches {
-            ws.shrink_to_fit();
-        }
-        self.trail.shrink_to_fit();
-        self.trail_lim.shrink_to_fit();
-        self.norm = Vec::new();
-        self.learnt = Vec::new();
-        self.to_clear = Vec::new();
-        self.min_stack = Vec::new();
-        self.reduce_scratch = Vec::new();
-    }
-
-    /// Bytes the clause arena and the watch lists reserve beyond their
-    /// live contents: tombstones, the slack of clauses shrunk in place,
-    /// watchers of deleted clauses and unused vector capacity. Zero right
-    /// after [`Solver::trim`]. Walks the arena and every watch list.
-    pub fn spare_bytes(&self) -> usize {
-        let mut live_words = 0;
-        let mut cur = self.db.cursor();
-        while let Some(r) = cur.next(&self.db) {
-            live_words += HEADER + self.db.len(r);
-        }
-        let (mut reserved, mut live) = (0, 0);
-        for ws in &self.watches {
-            reserved += ws.capacity();
-            live += ws.iter().filter(|w| !self.db.is_deleted(w.cref())).count();
-        }
-        self.db.arena_bytes() - live_words * std::mem::size_of::<Lit>()
-            + (reserved - live) * std::mem::size_of::<Watcher>()
-    }
-
     /// Solves the formula under the given DIMACS assumption literals.
     ///
     /// On [`SatResult::Sat`], the model is available through
@@ -1294,15 +1241,6 @@ impl Solver {
             SolveOutcome::Unsat => SatResult::Unsat,
             stop => panic!("unlimited solve stopped without a verdict: {stop:?}"),
         }
-    }
-
-    /// [`Solver::solve`] with a conflict budget: returns `None` when the
-    /// search stops before a verdict — budget exhausted, interrupt raised,
-    /// or deadline passed (the solver backtracks to the root level and
-    /// stays usable). Use [`Solver::solve_bounded`] to distinguish the
-    /// stop reasons.
-    pub fn solve_limited(&mut self, assumptions: &[i32], budget: u64) -> Option<SatResult> {
-        self.solve_bounded(assumptions, budget).verdict()
     }
 
     /// The full search entry point: a conflict budget plus the cooperative
@@ -1532,6 +1470,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clause::HEADER;
 
     #[test]
     fn empty_formula_is_sat() {
@@ -1735,7 +1674,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_limited_exhausts_and_recovers() {
+    fn solve_bounded_exhausts_and_recovers() {
         // A hard instance with a 1-conflict budget must time out…
         let mut s = Solver::new();
         let mut v = [[0i32; 4]; 5];
@@ -1755,17 +1694,17 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve_limited(&[], 1), None);
+        assert_eq!(s.solve_bounded(&[], 1), SolveOutcome::BudgetExhausted);
         // …and the solver must stay usable for a full solve afterwards.
         assert_eq!(s.solve(&[]), SatResult::Unsat);
     }
 
     #[test]
-    fn solve_limited_trivial_within_budget() {
+    fn solve_bounded_trivial_within_budget() {
         let mut s = Solver::new();
         let a = s.new_var();
         s.add_clause(&[a]);
-        assert_eq!(s.solve_limited(&[], 5), Some(SatResult::Sat));
+        assert_eq!(s.solve_bounded(&[], 5), SolveOutcome::Sat);
     }
 
     #[test]
@@ -2002,46 +1941,6 @@ mod tests {
         );
         assert_dense_and_clean(&s);
         assert_ne!(s.solve_bounded(&[gates[1]], 2000), SolveOutcome::Sat);
-    }
-
-    #[test]
-    fn trim_releases_spare_capacity_and_keeps_the_search() {
-        // Twin solvers run the same budget-stopped queries, with gate
-        // batches (and so inprocessing passes) in between; one is
-        // trimmed after every stop, as a parked session is.
-        let mut twins = [Solver::new(), Solver::new()];
-        let mut stops = 0;
-        for (i, s) in twins.iter_mut().enumerate() {
-            hard_pigeonhole(s, 9);
-            let mut rng = gqed_logic::SplitMix64::new(5);
-            for _ in 0..4 {
-                let gates = add_gates(s, &mut rng, 250);
-                for g in gates.iter().step_by(50) {
-                    if s.solve_bounded(&[*g], 400) == SolveOutcome::BudgetExhausted && i == 1 {
-                        stops += 1;
-                        s.trim();
-                        assert_eq!(s.spare_bytes(), 0);
-                        assert_dense_and_clean(s);
-                    }
-                }
-            }
-        }
-        assert!(stops > 0, "no query hit its budget");
-        let [kept, trimmed] = twins.map(|s| s.stats());
-        assert!(kept.simplify_rounds >= 4 && kept.compactions > 0);
-        let key = |st: SolverStats| {
-            [
-                st.conflicts,
-                st.decisions,
-                st.propagations,
-                st.restarts,
-                st.compactions,
-                st.deleted_clauses,
-                st.eliminated_vars,
-                st.vivified_clauses,
-            ]
-        };
-        assert_eq!(key(kept), key(trimmed));
     }
 
     #[test]
