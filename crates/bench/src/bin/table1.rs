@@ -40,7 +40,7 @@ fn main() {
                 },
                 d.meta.description.to_string(),
                 d.ts.state_bits(&d.ctx).to_string(),
-                gate_count(&d).to_string(),
+                gate_count(&d.ctx, &d.ts).to_string(),
                 format!("{}/{}", d.iface.in_width(&d.ctx), d.iface.out_width(&d.ctx)),
                 d.meta.latency.to_string(),
                 bugs.to_string(),

@@ -10,22 +10,10 @@
 //!
 //! Regenerate with: `cargo run --release -p gqed-bench --bin table5`
 
-use gqed_bench::{md_header, md_row};
+use gqed_bench::{gate_count, md_header, md_row};
 use gqed_core::{synthesize, QedConfig};
-use gqed_ha::{all_designs, Design};
-use gqed_ir::{BitBlaster, TransitionSystem};
-use gqed_logic::Aig;
+use gqed_ha::all_designs;
 use std::time::Instant;
-
-fn gates(design: &Design, ts: &TransitionSystem) -> usize {
-    let mut aig = Aig::new();
-    let mut blaster = BitBlaster::new();
-    let mut leaf = |aig: &mut Aig, _t, w: u32| (0..w).map(|_| aig.input()).collect::<Vec<_>>();
-    for root in ts.roots() {
-        let _ = blaster.blast(&design.ctx, &mut aig, root, &mut leaf);
-    }
-    aig.num_ands()
-}
 
 fn main() {
     println!("## Table 5 — QED-module overhead per design\n");
@@ -43,19 +31,19 @@ fn main() {
     );
     for entry in all_designs() {
         let base = entry.build_clean();
-        let base_gates = gates(&base, &base.ts);
+        let base_gates = gate_count(&base.ctx, &base.ts);
         let base_bits = base.ts.state_bits(&base.ctx);
 
         let mut dg = entry.build_clean();
         let t0 = Instant::now();
         let gmodel = synthesize(&mut dg, &QedConfig::gqed());
         let synth_time = t0.elapsed();
-        let g_gates = gates(&dg, &gmodel.ts);
+        let g_gates = gate_count(&dg.ctx, &gmodel.ts);
         let g_bits = gmodel.ts.state_bits(&dg.ctx);
 
         let mut da = entry.build_clean();
         let amodel = synthesize(&mut da, &QedConfig::aqed());
-        let a_gates = gates(&da, &amodel.ts);
+        let a_gates = gate_count(&da.ctx, &amodel.ts);
 
         println!(
             "{}",

@@ -348,19 +348,7 @@ impl<'a> BmcEngine<'a> {
                 }
             } else {
                 // Next-state bits computed in the previous frame.
-                let prev = self.frames.len() - 1;
-                let mut next_bits: Vec<(TermId, Vec<AigLit>)> = Vec::new();
-                for s in &mts(&self.model).states {
-                    let prev_frame = &mut self.frames[prev];
-                    let bits = prev_frame.blaster.blast(
-                        mctx(&self.model),
-                        &mut self.aig,
-                        s.next,
-                        &mut leaf_provider(&mut prev_frame.input_bits),
-                    );
-                    next_bits.push((s.term, bits));
-                }
-                for (t, bits) in next_bits {
+                for (t, bits) in self.blast_next_states(f - 1) {
                     blaster.seed(mctx(&self.model), t, bits);
                 }
             }
@@ -387,6 +375,25 @@ impl<'a> BmcEngine<'a> {
             }
             self.frames.push(fr);
         }
+    }
+
+    /// Blasts every state's next-state function in built frame `frame`,
+    /// in state order; the bits seed frame `frame + 1`.
+    fn blast_next_states(&mut self, frame: u32) -> Vec<(TermId, Vec<AigLit>)> {
+        let fr = &mut self.frames[frame as usize];
+        mts(&self.model)
+            .states
+            .iter()
+            .map(|s| {
+                let bits = fr.blaster.blast(
+                    mctx(&self.model),
+                    &mut self.aig,
+                    s.next,
+                    &mut leaf_provider(&mut fr.input_bits),
+                );
+                (s.term, bits)
+            })
+            .collect()
     }
 
     /// Encodes `bad` property `bad_index` at `frame`; returns its CNF literal.
@@ -656,6 +663,85 @@ impl BmcEngine<'static> {
     /// other sessions of the same design share the same model.
     pub fn for_model(model: Arc<Model>) -> Self {
         Self::with_model(ModelRef::Shared(model))
+    }
+}
+
+/// `ts` with every state's reset value dropped (`init: None`): the
+/// system k-induction's step case and [`StepEncoding`] reason about, where
+/// the first frame may be any state.
+pub(crate) fn without_init(ts: &TransitionSystem) -> TransitionSystem {
+    let mut free = ts.clone();
+    for s in &mut free.states {
+        s.init = None;
+    }
+    free
+}
+
+/// One transition step of a system as CNF on a solver — the unroller's
+/// frame 0 from an arbitrary state, with each next-state bit tied to a
+/// variable — so BMC, k-induction and IC3/PDR share one encoder.
+///
+/// The environment constraints hold over the current state (frame 0's
+/// activation literal is asserted as a unit) and deliberately not over
+/// the next one: a PDR query's next state plays the role of the following
+/// frame's *pre*-state, which the unroller never constrains either.
+///
+/// [`StepEncoding::new`] consumes the engine that encoded the step, so no
+/// Tseitin variable can be allocated once the caller starts calling
+/// [`Solver::new_var`] for its own literals: the two allocators cannot
+/// interleave and alias a variable.
+pub struct StepEncoding {
+    /// The solver holding the step's clauses. Inprocessing is off: it
+    /// would perturb the failed-assumption cores of PDR's many small
+    /// queries for no per-query win.
+    pub solver: Solver,
+    /// Global state-bit index (states in order, LSB first) → DIMACS
+    /// literal of that current-state bit.
+    pub cur: Vec<i32>,
+    /// Global state-bit index → DIMACS variable equivalent to that bit's
+    /// next-state function. Each is a dedicated tie variable, so priming
+    /// a cube is injective even when two bits share a hash-consed
+    /// function.
+    pub nxt: Vec<i32>,
+    /// Literal of `bad` property `bad_index` over the current state; it
+    /// is only ever assumed, never asserted.
+    pub bad_lit: i32,
+}
+
+impl StepEncoding {
+    /// Encodes one step of `ts` from an arbitrary state, checking `bad`
+    /// property `bad_index`.
+    pub fn new(ctx: &Context, ts: &TransitionSystem, bad_index: usize) -> StepEncoding {
+        let free = without_init(ts);
+        let mut engine = BmcEngine::new(ctx, &free);
+        engine.set_inprocessing(false);
+        let bad_lit = engine.encode_bad_at(bad_index, 0);
+        if let Some(act) = engine.frames[0].constraint_act {
+            engine.cnf.add_clause(&[act]);
+        }
+        let mut nxt = Vec::new();
+        for (_, bits) in engine.blast_next_states(0) {
+            for l in bits {
+                let fl = engine.tseitin.lit(&engine.aig, &mut engine.cnf, l);
+                let v = engine.cnf.fresh_var();
+                engine.cnf.add_clause(&[-v, fl]);
+                engine.cnf.add_clause(&[v, -fl]);
+                nxt.push(v);
+            }
+        }
+        let mut cur = Vec::with_capacity(nxt.len());
+        for s in &free.states {
+            for &l in &engine.init_state_bits[&s.term] {
+                cur.push(engine.tseitin.lit(&engine.aig, &mut engine.cnf, l));
+            }
+        }
+        engine.flush_cnf();
+        StepEncoding {
+            solver: engine.solver,
+            cur,
+            nxt,
+            bad_lit,
+        }
     }
 }
 

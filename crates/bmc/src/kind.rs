@@ -19,7 +19,7 @@
 //! `gqed bmc --prove` use it on conventional assertions; the campaign's
 //! clean-design proofs use IC3/PDR instead.
 
-use crate::engine::{BmcEngine, BmcLimits, StopReason};
+use crate::engine::{without_init, BmcEngine, BmcLimits, StopReason};
 use crate::trace::Trace;
 use gqed_ir::{Context, TransitionSystem};
 
@@ -79,10 +79,7 @@ pub fn prove_k_induction_limited(
     max_k: u32,
     limits: &BmcLimits,
 ) -> ProofResult {
-    let mut free = ts.clone();
-    for s in &mut free.states {
-        s.init = None;
-    }
+    let free = without_init(ts);
     let mut base = BmcEngine::new(ctx, ts);
     let mut step = BmcEngine::new(ctx, &free);
     for k in 0..=max_k {

@@ -7,7 +7,10 @@
 //!   [`TransitionSystem`](gqed_ir::TransitionSystem) frame by frame into a
 //!   shared AIG, Tseitin-encodes new cones into one persistent SAT solver,
 //!   activates per-frame environment constraints through assumption
-//!   literals, and checks `bad` properties at increasing depths;
+//!   literals, and checks `bad` properties at increasing depths. Its
+//!   frame 0 over the init-free system, with tied next-state variables,
+//!   is [`StepEncoding`]: the one-step view IC3/PDR (`gqed-pdr`) and its
+//!   invariant re-check run on;
 //! * [`trace`] — counterexample traces: per-frame input valuations plus
 //!   initial values of nondeterministic states;
 //! * [`replay`] — independent confirmation of every counterexample on the
@@ -25,7 +28,7 @@ pub mod kind;
 pub mod replay;
 pub mod trace;
 
-pub use engine::{BmcEngine, BmcLimits, BmcResult, BmcStats, BmcStatus, StopReason};
+pub use engine::{BmcEngine, BmcLimits, BmcResult, BmcStats, BmcStatus, StepEncoding, StopReason};
 pub use kind::{prove_k_induction, prove_k_induction_limited, ProofResult};
 pub use replay::{replay, ReplayError};
 pub use trace::Trace;

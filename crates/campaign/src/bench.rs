@@ -263,7 +263,7 @@ impl PdrProbe {
 
     /// `Some(reason)` when the probe shows the engine regressed: the
     /// fixture stopped proving, the final invariant failed its
-    /// independent re-check, or the query count crossed the portfolio
+    /// re-check, or the query count crossed the portfolio
     /// cap (the fixture would start burning the cap in every campaign).
     fn regression(&self) -> Option<String> {
         if !self.proven {
@@ -274,7 +274,7 @@ impl PdrProbe {
         }
         if self.recheck_failures > 0 {
             return Some(format!(
-                "PDR probe invariant failed independent re-check {} time(s)",
+                "PDR probe invariant failed its re-check {} time(s)",
                 self.recheck_failures
             ));
         }

@@ -82,11 +82,17 @@ pub fn default_portfolio() -> Vec<EngineId> {
 /// anyone (and without triggering a Luby retry — the capped outcome
 /// would repeat identically).
 ///
+/// The cap is soft: PDR checks it before each proof obligation and each
+/// propagation level, not per query, so one obligation's blocking and
+/// generalization queries can overshoot it. Both the check points and
+/// the counts are deterministic.
+///
 /// Sizing: the seeded PDR-win design (`bitflip`) proves its hardest
-/// G-QED property (`fcg.inconsistent`) in 77,716 queries — and query
-/// counts are exactly reproducible, so the headroom only has to absorb
-/// future drift in the wrapper or the engine's heuristics, not
-/// run-to-run noise. Designs out of PDR's reach burn the cap once (the
+/// G-QED property (`fcg.inconsistent`) in 56,532 queries, and all five
+/// of its properties in 122,054 — each under its own cap. Query counts
+/// are exactly reproducible, so the headroom only has to absorb future
+/// drift in the wrapper or the engine's heuristics, not run-to-run
+/// noise. Designs out of PDR's reach burn the cap once (the
 /// side drops out at its first capped property) and yield to bounded
 /// BMC; on the default-size catalogue designs that costs roughly
 /// 30–45 s of solver time per clean obligation. The `gqed bench` PDR

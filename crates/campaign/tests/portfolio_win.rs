@@ -115,7 +115,7 @@ fn portfolio_proves_bitflip_deterministically_and_survives_resume() {
     // The win: k-induction cannot settle this obligation (pinned by
     // `kind_unknown_but_pdr_proves_on_bitflip`), yet the
     // portfolio reports it Proven — decided by the PDR engine, with the
-    // invariant having passed its independent re-check and the query
+    // invariant having passed its re-check and the query
     // budget respected on every property.
     let prove = reference
         .records

@@ -13,7 +13,9 @@
 //! clause sets over the state bits where `F_0` is the reset predicate and
 //! each `F_i` over-approximates the states reachable in at most `i`
 //! cycles. All frames live on **one incremental SAT solver** holding a
-//! single static copy of the transition relation (no unrolling): a lemma
+//! single static copy of the transition relation (no unrolling) — the
+//! BMC unroller's one-step view, [`StepEncoding`], so this crate holds
+//! IC3 logic only and encodes nothing itself: a lemma
 //! learnt at exact level `j` is guarded by that level's activation
 //! literal, and a query against `F_i` simply assumes the activation
 //! literals of every level `j ≥ i`. Each bad state reachable from `F_K`
@@ -22,16 +24,17 @@
 //! by the solver's failed-assumption core plus a literal-dropping pass,
 //! and clauses are propagated forward each round. When some delta frame
 //! empties, `F_i = F_{i+1}` is an inductive invariant — which is
-//! **re-checked against the model on an independent encoding** before the
-//! engine ever reports [`PdrVerdict::Proven`].
+//! **re-checked** before the engine ever reports [`PdrVerdict::Proven`]:
+//! consecution and safety on a fresh solver over a fresh step encoding
+//! (the encoder is shared with BMC, whose counterexamples are all
+//! replay-confirmed), initiation against the reset constants with no
+//! encoder at all.
 
 #![warn(missing_docs)]
 
-use gqed_bmc::{BmcLimits, StopReason};
-use gqed_ir::{BitBlaster, Context, TermId, TransitionSystem};
-use gqed_logic::aig::{Aig, AigLit};
-use gqed_logic::{Cnf, Tseitin};
-use gqed_sat::{SolveOutcome, Solver, SolverStats};
+use gqed_bmc::{BmcLimits, StepEncoding, StopReason};
+use gqed_ir::{Context, TransitionSystem};
+use gqed_sat::{SolveOutcome, SolverStats};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -79,7 +82,8 @@ pub struct StateBitLit {
 
 /// An inductive invariant as a conjunction of clauses over state bits —
 /// the proof certificate returned with [`PdrVerdict::Proven`]. Validate
-/// it independently with [`check_invariant`].
+/// it with [`check_invariant`], which shares only the step encoder with
+/// the engine, not its frames or solver.
 #[derive(Clone, Debug, Default)]
 pub struct Invariant {
     /// The clauses; each is a disjunction of [`StateBitLit`]s.
@@ -104,7 +108,7 @@ pub struct PdrStats {
     pub propagated: u64,
     /// SAT queries issued.
     pub queries: u64,
-    /// Proven invariants that failed the independent re-check (always 0
+    /// Proven invariants that failed the re-check (always 0
     /// unless the engine itself is broken; counted, not silently dropped).
     pub recheck_failures: u64,
     /// Search statistics of the underlying solver.
@@ -114,8 +118,10 @@ pub struct PdrStats {
 /// Verdict of a PDR run.
 #[derive(Clone, Debug)]
 pub enum PdrVerdict {
-    /// The property can never fire. The invariant passed an independent
-    /// inductiveness re-check before this verdict was produced.
+    /// The property can never fire. The invariant passed
+    /// [`check_invariant`] before this verdict was produced: consecution
+    /// and safety on a fresh solver over the shared step encoder,
+    /// initiation against the reset constants.
     Proven {
         /// Frames on the ladder when the fixpoint closed.
         frames: u32,
@@ -213,175 +219,83 @@ pub fn prove_pdr_limited(
 ) -> PdrOutcome {
     let mut pdr = Pdr::new(ctx, ts, bad_index, limits);
     let verdict = pdr.run(ctx, ts, bad_index, opts);
-    pdr.stats.solver = pdr.enc.solver.stats();
+    pdr.stats.solver = pdr.step.solver.stats();
     PdrOutcome {
         verdict,
         stats: pdr.stats,
     }
 }
 
-/// The static single-copy encoding of a transition system shared by the
-/// engine and the independent invariant re-check.
-///
-/// All Tseitin encoding happens up front against one [`Cnf`] (the
-/// encoder allocates variables from the CNF's counter); only after the
-/// clauses are loaded — and the solver padded to the CNF's variable
-/// count — may further variables be allocated through
-/// [`Solver::new_var`], which activation literals and per-query
-/// temporaries then use. Interleaving the two allocators would silently
-/// alias variables.
-struct TsEncoding {
-    solver: Solver,
-    /// Global state-bit index → DIMACS literal of the current-state copy.
-    cur: Vec<i32>,
-    /// Global state-bit index → DIMACS variable equivalent to that bit's
-    /// next-state function (a dedicated tie variable, so priming a cube
-    /// is injective even when two bits share a hash-consed function).
-    nxt: Vec<i32>,
-    /// Tie variable → global state-bit index (unsat-core un-priming).
-    nxt_gbit: HashMap<i32, usize>,
-    /// Global state-bit index → reset value; `None` = nondeterministic.
-    init_val: Vec<Option<bool>>,
-    /// Assumption literals pinning every defined reset bit.
-    init_asmps: Vec<i32>,
-    /// Literal of the checked `bad` property over the current copy
-    /// (asserted only by assumption).
-    bad_lit: i32,
+/// The `(state, bit)` ↔ global state-bit table of a transition system
+/// (states in order, LSB first, the numbering of [`StepEncoding`]'s
+/// `cur`/`nxt`) with each bit's reset value. Built once per run and
+/// shared by the engine and its invariant re-check.
+struct StateBits {
     /// Global state-bit index → (state index, bit position).
     bits: Vec<(usize, u32)>,
+    /// State index → global index of its bit 0; one trailing entry holds
+    /// the total, so state `s` spans `offset[s]..offset[s + 1]`.
+    offset: Vec<usize>,
+    /// Global state-bit index → reset value; `None` = nondeterministic.
+    init_val: Vec<Option<bool>>,
 }
 
-impl TsEncoding {
-    fn build(ctx: &Context, ts: &TransitionSystem, bad_index: usize) -> TsEncoding {
-        let mut aig = Aig::new();
-        let mut cnf = Cnf::new();
-        let mut enc = Tseitin::new();
-        let mut blaster = BitBlaster::new();
-
-        // Current-state bits are fresh AIG inputs seeded into the blaster.
-        let mut state_aig_bits: Vec<AigLit> = Vec::new();
-        let mut bits = Vec::new();
-        let mut init_val = Vec::new();
+impl StateBits {
+    fn new(ctx: &Context, ts: &TransitionSystem) -> StateBits {
+        let mut map = StateBits {
+            bits: Vec::new(),
+            offset: vec![0],
+            init_val: Vec::new(),
+        };
         for (si, s) in ts.states.iter().enumerate() {
-            let w = ctx.width(s.term);
             let init = s.init.map(|t| {
                 ctx.as_const(t)
                     .expect("state reset value must be a constant term")
             });
-            let mut sb = Vec::with_capacity(w as usize);
-            for b in 0..w {
-                let l = aig.input();
-                sb.push(l);
-                state_aig_bits.push(l);
-                bits.push((si, b));
-                init_val.push(init.map(|v| (v >> b) & 1 != 0));
+            for b in 0..ctx.width(s.term) {
+                map.bits.push((si, b));
+                map.init_val.push(init.map(|v| (v >> b) & 1 != 0));
             }
-            blaster.seed(ctx, s.term, sb);
+            map.offset.push(map.bits.len());
         }
-        let mut input_bits: HashMap<TermId, Vec<AigLit>> = HashMap::new();
-        let mut leaf = |aig: &mut Aig, t, w: u32| {
-            input_bits
-                .entry(t)
-                .or_insert_with(|| (0..w).map(|_| aig.input()).collect::<Vec<_>>())
-                .clone()
-        };
-        // Environment constraints hold in the current copy: root units.
-        // They are deliberately *not* asserted over the next copy — the
-        // BMC/k-induction path asserts constraints per reached frame, and
-        // the blocking query's next copy plays the role of the following
-        // frame's *pre*-state, which that path never constrains either.
-        for &c in &ts.constraints {
-            let cb = blaster.blast(ctx, &mut aig, c, &mut leaf);
-            let lit = enc.lit(&aig, &mut cnf, cb[0]);
-            cnf.add_clause(&[lit]);
-        }
-        // The bad property, encoded but only ever assumed.
-        let bb = blaster.blast(ctx, &mut aig, ts.bads[bad_index].term, &mut leaf);
-        let bad_lit = enc.lit(&aig, &mut cnf, bb[0]);
-        // Next-state functions, each tied to a dedicated variable.
-        let mut nxt = Vec::with_capacity(bits.len());
-        let mut nxt_gbit = HashMap::new();
-        for s in &ts.states {
-            let nb = blaster.blast(ctx, &mut aig, s.next, &mut leaf);
-            for &l in &nb {
-                let fl = enc.lit(&aig, &mut cnf, l);
-                let v = cnf.fresh_var();
-                cnf.add_clause(&[-v, fl]);
-                cnf.add_clause(&[v, -fl]);
-                nxt_gbit.insert(v, nxt.len());
-                nxt.push(v);
-            }
-        }
-        let cur: Vec<i32> = state_aig_bits
-            .iter()
-            .map(|&l| enc.lit(&aig, &mut cnf, l))
-            .collect();
-
-        let mut solver = Solver::new();
-        // PDR issues thousands of tiny activation-literal queries whose
-        // failed-assumption cores drive cube generalization; inprocessing
-        // between them perturbs the cores (changing CTI counts against
-        // the deterministic query cap) for no per-query win, so it stays
-        // off here. The solve-call schedule below is the wrong shape for
-        // it anyway.
-        solver.set_simplify(false);
-        for c in cnf.clauses() {
-            solver.add_clause(c);
-        }
-        // `add_clause` grows variables only to the largest literal it has
-        // seen; pad to the CNF's counter so `new_var` cannot alias a
-        // Tseitin variable that never appeared in a clause.
-        while solver.num_vars() < cnf.num_vars() {
-            let _ = solver.new_var();
-        }
-
-        let init_asmps = cur
-            .iter()
-            .zip(&init_val)
-            .filter_map(|(&l, iv)| iv.map(|v| if v { l } else { -l }))
-            .collect();
-        TsEncoding {
-            solver,
-            cur,
-            nxt,
-            nxt_gbit,
-            init_val,
-            init_asmps,
-            bad_lit,
-            bits,
-        }
+        map
     }
 
-    /// Current-copy DIMACS literal of cube literal `l`.
-    fn cur_lit(&self, l: i32) -> i32 {
-        let v = self.cur[(l.unsigned_abs() - 1) as usize];
-        if l > 0 {
-            v
-        } else {
-            -v
+    /// The cube literal (`±(g + 1)`) of a caller-supplied invariant
+    /// disjunct, range-checked against the system's states and widths.
+    fn cube_lit(&self, l: &StateBitLit) -> Result<i32, String> {
+        if l.state + 1 >= self.offset.len() {
+            return Err(format!("clause names state {} out of range", l.state));
         }
+        let g = self.offset[l.state] + l.bit as usize;
+        if g >= self.offset[l.state + 1] {
+            return Err(format!("clause names bit {} out of range", l.bit));
+        }
+        let lit = g as i32 + 1;
+        Ok(if l.value { lit } else { -lit })
     }
 
-    /// Next-copy DIMACS literal of cube literal `l`.
-    fn nxt_lit(&self, l: i32) -> i32 {
-        let v = self.nxt[(l.unsigned_abs() - 1) as usize];
-        if l > 0 {
-            v
-        } else {
-            -v
-        }
+    /// Whether cube literal `l` contradicts a defined reset bit.
+    fn excludes_init(&self, l: i32) -> bool {
+        matches!(self.init_val[(l.unsigned_abs() - 1) as usize], Some(v) if v != (l > 0))
     }
 
     /// Whether `cube` admits a reset state: no literal contradicts a
     /// defined reset bit (bits with nondeterministic reset are free, as
     /// are bits the cube does not mention).
     fn intersects_init(&self, cube: &[i32]) -> bool {
-        !cube
-            .iter()
-            .any(|&l| match self.init_val[(l.unsigned_abs() - 1) as usize] {
-                Some(v) => v != (l > 0),
-                None => false,
-            })
+        !cube.iter().any(|&l| self.excludes_init(l))
+    }
+}
+
+/// DIMACS literal of cube literal `l` in the copy whose variable for
+/// global state bit `g` is `vars[g]` (`cur` or `nxt`).
+fn copy_lit(vars: &[i32], l: i32) -> i32 {
+    let v = vars[(l.unsigned_abs() - 1) as usize];
+    if l > 0 {
+        v
+    } else {
+        -v
     }
 }
 
@@ -432,7 +346,14 @@ enum Blocked {
 }
 
 struct Pdr<'a> {
-    enc: TsEncoding,
+    /// The shared one-step encoding; every query runs on its solver.
+    step: StepEncoding,
+    bits: StateBits,
+    /// Tie variable of `step.nxt` → global state-bit index (unsat-core
+    /// un-priming).
+    nxt_gbit: HashMap<i32, usize>,
+    /// Assumption literals pinning every defined reset bit.
+    init_asmps: Vec<i32>,
     /// Activation literal per frame level (`acts[0]` is unused — `F_0` is
     /// the reset predicate, expressed by assumption literals instead).
     acts: Vec<i32>,
@@ -451,8 +372,20 @@ impl<'a> Pdr<'a> {
         bad_index: usize,
         limits: &'a BmcLimits,
     ) -> Pdr<'a> {
+        let step = StepEncoding::new(ctx, ts, bad_index);
+        let bits = StateBits::new(ctx, ts);
+        let nxt_gbit = step.nxt.iter().enumerate().map(|(g, &v)| (v, g)).collect();
+        let init_asmps = step
+            .cur
+            .iter()
+            .zip(&bits.init_val)
+            .filter_map(|(&l, iv)| iv.map(|v| if v { l } else { -l }))
+            .collect();
         Pdr {
-            enc: TsEncoding::build(ctx, ts, bad_index),
+            step,
+            bits,
+            nxt_gbit,
+            init_asmps,
             acts: vec![0],
             frames: vec![Vec::new()],
             stats: PdrStats::default(),
@@ -466,22 +399,22 @@ impl<'a> Pdr<'a> {
     }
 
     fn push_frame(&mut self) {
-        let a = self.enc.solver.new_var();
+        let a = self.step.solver.new_var();
         self.acts.push(a);
         self.frames.push(Vec::new());
     }
 
     fn solve(&mut self, assumps: &[i32]) -> Result<bool, StopReason> {
         self.stats.queries += 1;
-        self.limits.solve(&mut self.enc.solver, assumps)
+        self.limits.solve(&mut self.step.solver, assumps)
     }
 
     /// The full current-state assignment of the last SAT query, as a cube.
     fn extract_state_cube(&self) -> Cube {
-        (0..self.enc.cur.len())
+        (0..self.step.cur.len())
             .map(|g| {
                 let lit = g as i32 + 1;
-                if self.enc.solver.value(self.enc.cur[g]) {
+                if self.step.solver.value(self.step.cur[g]) {
                     lit
                 } else {
                     -lit
@@ -494,18 +427,13 @@ impl<'a> Pdr<'a> {
     /// `full` that contradicts a defined reset bit. `full` must be
     /// init-disjoint, so such a literal exists.
     fn repair_init(&self, cube: &mut Cube, full: &[i32]) {
-        if !self.enc.intersects_init(cube) {
+        if !self.bits.intersects_init(cube) {
             return;
         }
         let l = full
             .iter()
             .copied()
-            .find(
-                |&l| match self.enc.init_val[(l.unsigned_abs() - 1) as usize] {
-                    Some(v) => v != (l > 0),
-                    None => false,
-                },
-            )
+            .find(|&l| self.bits.excludes_init(l))
             .expect("blocked cube must exclude the reset states");
         cube.push(l);
         cube.sort_unstable_by_key(|x| x.unsigned_abs());
@@ -519,48 +447,45 @@ impl<'a> Pdr<'a> {
     /// smaller cube both weakens the primed target and *strengthens*
     /// `¬cube`.
     fn blocking_query(&mut self, cube: &[i32], level: u32) -> Result<QueryOutcome, StopReason> {
-        let t = self.enc.solver.new_var();
+        let t = self.step.solver.new_var();
         let mut cl = Vec::with_capacity(cube.len() + 1);
         cl.push(-t);
         for &l in cube {
-            cl.push(-self.enc.cur_lit(l));
+            cl.push(-copy_lit(&self.step.cur, l));
         }
-        self.enc.solver.add_clause(&cl);
+        self.step.solver.add_clause(&cl);
         let mut assumps = vec![t];
         if level == 1 {
-            assumps.extend_from_slice(&self.enc.init_asmps);
+            assumps.extend_from_slice(&self.init_asmps);
         }
         let from = (level.saturating_sub(1)).max(1) as usize;
         assumps.extend_from_slice(&self.acts[from..]);
         for &l in cube {
-            assumps.push(self.enc.nxt_lit(l));
+            assumps.push(copy_lit(&self.step.nxt, l));
         }
         let res = self.solve(&assumps);
         // Read the model / core before retiring `t`: adding the retiring
         // unit cancels the solver back to the root, wiping both.
         let out = match res {
             Err(reason) => {
-                self.enc.solver.add_clause(&[-t]);
+                self.step.solver.add_clause(&[-t]);
                 return Err(reason);
             }
             Ok(true) => QueryOutcome::Reachable(self.extract_state_cube()),
             Ok(false) => {
                 let mut core: Cube = self
-                    .enc
+                    .step
                     .solver
                     .failed_assumptions()
                     .iter()
                     .filter_map(|&fa| {
-                        self.enc
-                            .nxt_gbit
-                            .get(&(fa.unsigned_abs() as i32))
-                            .map(|&g| {
-                                if fa > 0 {
-                                    g as i32 + 1
-                                } else {
-                                    -(g as i32 + 1)
-                                }
-                            })
+                        self.nxt_gbit.get(&(fa.unsigned_abs() as i32)).map(|&g| {
+                            if fa > 0 {
+                                g as i32 + 1
+                            } else {
+                                -(g as i32 + 1)
+                            }
+                        })
                     })
                     .collect();
                 core.sort_unstable_by_key(|l| l.unsigned_abs());
@@ -568,7 +493,7 @@ impl<'a> Pdr<'a> {
                 QueryOutcome::Blocked(core)
             }
         };
-        self.enc.solver.add_clause(&[-t]);
+        self.step.solver.add_clause(&[-t]);
         Ok(out)
     }
 
@@ -587,7 +512,7 @@ impl<'a> Pdr<'a> {
             };
             let mut cand = cube.clone();
             cand.remove(pos);
-            if self.enc.intersects_init(&cand) {
+            if self.bits.intersects_init(&cand) {
                 continue;
             }
             if let QueryOutcome::Blocked(core) = self.blocking_query(&cand, level)? {
@@ -603,9 +528,9 @@ impl<'a> Pdr<'a> {
         let mut cl = Vec::with_capacity(cube.len() + 1);
         cl.push(-self.acts[level as usize]);
         for &l in cube {
-            cl.push(-self.enc.cur_lit(l));
+            cl.push(-copy_lit(&self.step.cur, l));
         }
-        self.enc.solver.add_clause(&cl);
+        self.step.solver.add_clause(&cl);
         self.frames[level as usize].push(cube.to_vec());
         self.stats.blocked_cubes += 1;
     }
@@ -642,7 +567,7 @@ impl<'a> Pdr<'a> {
                     }
                 }
                 QueryOutcome::Reachable(pred) => {
-                    if ob.level == 1 || self.enc.intersects_init(&pred) {
+                    if ob.level == 1 || self.bits.intersects_init(&pred) {
                         // The predecessor is a reset state: a concrete
                         // path reset → cube → … → bad of dist+1 steps.
                         return Ok(Blocked::Cex { depth: ob.dist + 1 });
@@ -665,8 +590,8 @@ impl<'a> Pdr<'a> {
     ) -> PdrVerdict {
         let query_cap = opts.max_queries.unwrap_or(u64::MAX);
         // Depth-0 base case: SAT?[Init ∧ C ∧ bad].
-        let mut asmps = self.enc.init_asmps.clone();
-        asmps.push(self.enc.bad_lit);
+        let mut asmps = self.init_asmps.clone();
+        asmps.push(self.step.bad_lit);
         match self.solve(&asmps) {
             Err(reason) => return PdrVerdict::Cancelled { frames: 0, reason },
             Ok(true) => return PdrVerdict::Falsified { depth: 0 },
@@ -691,14 +616,14 @@ impl<'a> Pdr<'a> {
                     return PdrVerdict::Unknown { frames: k };
                 }
                 let mut asmps: Vec<i32> = self.acts[k as usize..].to_vec();
-                asmps.push(self.enc.bad_lit);
+                asmps.push(self.step.bad_lit);
                 match self.solve(&asmps) {
                     Err(reason) => return PdrVerdict::Cancelled { frames: k, reason },
                     Ok(false) => break,
                     Ok(true) => {
                         let cti = self.extract_state_cube();
                         self.stats.ctis += 1;
-                        if self.enc.intersects_init(&cti) {
+                        if self.bits.intersects_init(&cti) {
                             // A reset state satisfies bad — the depth-0
                             // base case precludes this; defensive only.
                             return PdrVerdict::Falsified { depth: 0 };
@@ -725,7 +650,7 @@ impl<'a> Pdr<'a> {
                     // frame i, so ¬c needs no extra assertion.
                     let mut asmps: Vec<i32> = self.acts[i as usize..].to_vec();
                     for &l in &c {
-                        asmps.push(self.enc.nxt_lit(l));
+                        asmps.push(copy_lit(&self.step.nxt, l));
                     }
                     match self.solve(&asmps) {
                         Err(reason) => return PdrVerdict::Cancelled { frames: k, reason },
@@ -733,9 +658,9 @@ impl<'a> Pdr<'a> {
                             let mut cl = Vec::with_capacity(c.len() + 1);
                             cl.push(-self.acts[(i + 1) as usize]);
                             for &l in &c {
-                                cl.push(-self.enc.cur_lit(l));
+                                cl.push(-copy_lit(&self.step.cur, l));
                             }
-                            self.enc.solver.add_clause(&cl);
+                            self.step.solver.add_clause(&cl);
                             self.frames[(i + 1) as usize].push(c);
                             self.stats.propagated += 1;
                         }
@@ -747,7 +672,7 @@ impl<'a> Pdr<'a> {
                 if fixpoint {
                     // F_i == F_{i+1}: inductive. Extract and re-check.
                     let invariant = self.extract_invariant(i + 1);
-                    if check_invariant(ctx, ts, bad_index, &invariant).is_ok() {
+                    if check_invariant_on(ctx, ts, bad_index, &self.bits, &invariant).is_ok() {
                         return PdrVerdict::Proven {
                             frames: k,
                             invariant,
@@ -769,7 +694,7 @@ impl<'a> Pdr<'a> {
                 clauses.push(
                     cube.iter()
                         .map(|&l| {
-                            let (state, bit) = self.enc.bits[(l.unsigned_abs() - 1) as usize];
+                            let (state, bit) = self.bits.bits[(l.unsigned_abs() - 1) as usize];
                             StateBitLit {
                                 state,
                                 bit,
@@ -784,96 +709,78 @@ impl<'a> Pdr<'a> {
     }
 }
 
-/// Independently re-checks that `inv` certifies `bad` property
-/// `bad_index` as unreachable:
+/// Re-checks that `inv` certifies `bad` property `bad_index` as
+/// unreachable:
 ///
-/// 1. **initiation** — every reset state satisfies every clause (checked
-///    against the reset constants: a clause passes iff some disjunct is
-///    pinned true by a defined reset bit, since bits with
-///    nondeterministic reset can always be set to falsify a disjunct);
-/// 2. **consecution** — `INV ∧ C ∧ T ∧ ¬INV'` is unsatisfiable, on a
-///    fresh encoding of the transition relation;
+/// 1. **initiation** — every reset state satisfies every clause, checked
+///    against the reset constants without any encoder: a clause passes
+///    iff some disjunct is pinned true by a defined reset bit, since bits
+///    with nondeterministic reset can always be set to falsify a
+///    disjunct;
+/// 2. **consecution** — `INV ∧ C ∧ T ∧ ¬INV'` is unsatisfiable;
 /// 3. **safety** — `INV ∧ C ∧ bad` is unsatisfiable.
 ///
-/// The encoding is rebuilt from the transition system, so a bug in the
-/// engine's frame bookkeeping cannot vouch for its own invariant.
+/// Consecution and safety run on a fresh solver over a fresh
+/// [`StepEncoding`], the encoder BMC's replay-confirmed counterexamples
+/// also run on, so a bug in the engine's frame bookkeeping cannot vouch
+/// for its own invariant. The encoder itself is shared with the engine.
 pub fn check_invariant(
     ctx: &Context,
     ts: &TransitionSystem,
     bad_index: usize,
     inv: &Invariant,
 ) -> Result<(), String> {
-    // Map (state, bit) → global bit index.
-    let mut offset = Vec::with_capacity(ts.states.len());
-    let mut total = 0usize;
-    for s in &ts.states {
-        offset.push(total);
-        total += ctx.width(s.term) as usize;
-    }
-    let gbit = |l: &StateBitLit| -> Result<usize, String> {
-        let s = ts
-            .states
-            .get(l.state)
-            .ok_or_else(|| format!("clause names state {} out of range", l.state))?;
-        if l.bit >= ctx.width(s.term) {
-            return Err(format!("clause names bit {} out of range", l.bit));
-        }
-        Ok(offset[l.state] + l.bit as usize)
-    };
+    check_invariant_on(ctx, ts, bad_index, &StateBits::new(ctx, ts), inv)
+}
+
+/// [`check_invariant`] over a prebuilt state-bit table of `ts`.
+fn check_invariant_on(
+    ctx: &Context,
+    ts: &TransitionSystem,
+    bad_index: usize,
+    bits: &StateBits,
+    inv: &Invariant,
+) -> Result<(), String> {
+    let clauses = inv
+        .clauses
+        .iter()
+        .map(|c| c.iter().map(|l| bits.cube_lit(l)).collect())
+        .collect::<Result<Vec<Cube>, String>>()?;
 
     // 1) Initiation, against the reset constants.
-    for (ci, clause) in inv.clauses.iter().enumerate() {
-        let mut holds = false;
-        for l in clause {
-            let g = gbit(l)?;
-            let s = &ts.states[l.state];
-            let iv = s.init.map(|t| {
-                ctx.as_const(t)
-                    .expect("state reset value must be a constant term")
-            });
-            let _ = g;
-            if let Some(v) = iv {
-                if ((v >> l.bit) & 1 != 0) == l.value {
-                    holds = true;
-                    break;
-                }
-            }
-        }
-        if !holds {
+    let pinned = |l: i32| bits.init_val[(l.unsigned_abs() - 1) as usize] == Some(l > 0);
+    for (ci, clause) in clauses.iter().enumerate() {
+        if !clause.iter().any(|&l| pinned(l)) {
             return Err(format!("clause {ci} does not contain the reset states"));
         }
     }
 
-    // 2) + 3) on one fresh encoding. The ¬INV' disjunction is guarded by
-    // an activation literal so it cannot leak into the safety query.
-    let mut enc = TsEncoding::build(ctx, ts, bad_index);
-    for clause in &inv.clauses {
-        let mut cl = Vec::with_capacity(clause.len());
-        for l in clause {
-            let g = gbit(l)? as i32 + 1;
-            cl.push(enc.cur_lit(if l.value { g } else { -g }));
-        }
-        enc.solver.add_clause(&cl);
+    // 2) + 3) on one fresh step encoding. The ¬INV' disjunction is
+    // guarded by an activation literal so it cannot leak into the safety
+    // query.
+    let mut step = StepEncoding::new(ctx, ts, bad_index);
+    for clause in &clauses {
+        let cl: Vec<i32> = clause.iter().map(|&l| copy_lit(&step.cur, l)).collect();
+        step.solver.add_clause(&cl);
     }
-    let t = enc.solver.new_var();
+    let t = step.solver.new_var();
     let mut big = vec![-t];
-    for clause in &inv.clauses {
-        let d = enc.solver.new_var();
-        for l in clause {
+    for clause in &clauses {
+        let d = step.solver.new_var();
+        for &l in clause {
             // d ⇒ ¬l': the primed disjunct is false.
-            let g = gbit(l)? as i32 + 1;
-            let primed = enc.nxt_lit(if l.value { g } else { -g });
-            enc.solver.add_clause(&[-d, -primed]);
+            let primed = copy_lit(&step.nxt, l);
+            step.solver.add_clause(&[-d, -primed]);
         }
         big.push(d);
     }
-    enc.solver.add_clause(&big);
-    match enc.solver.solve_bounded(&[t], u64::MAX) {
+    step.solver.add_clause(&big);
+    match step.solver.solve_bounded(&[t], u64::MAX) {
         SolveOutcome::Unsat => {}
         SolveOutcome::Sat => return Err("invariant is not inductive".into()),
         stop => return Err(format!("consecution check stopped: {stop:?}")),
     }
-    match enc.solver.solve_bounded(&[enc.bad_lit], u64::MAX) {
+    match step.solver.solve_bounded(&[step.bad_lit], u64::MAX) {
         SolveOutcome::Unsat => Ok(()),
         SolveOutcome::Sat => Err("invariant does not exclude the bad states".into()),
         stop => Err(format!("safety check stopped: {stop:?}")),
@@ -883,6 +790,7 @@ pub fn check_invariant(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gqed_ir::TermId;
     use gqed_logic::rng::SplitMix64;
 
     /// cnt frozen at 0; bad: cnt == 1. 1-inductive, provable immediately.
@@ -1122,20 +1030,20 @@ mod tests {
             let limits = BmcLimits::default();
             let mut pdr = Pdr::new(&ctx, &ts, 0, &limits);
             // Skip systems whose bad property fires at reset.
-            let mut asmps = pdr.enc.init_asmps.clone();
-            asmps.push(pdr.enc.bad_lit);
+            let mut asmps = pdr.init_asmps.clone();
+            asmps.push(pdr.step.bad_lit);
             if pdr.solve(&asmps) != Ok(false) {
                 continue;
             }
             pdr.push_frame();
             // Find a CTI at frame 1, if any.
             let mut asmps: Vec<i32> = pdr.acts[1..].to_vec();
-            asmps.push(pdr.enc.bad_lit);
+            asmps.push(pdr.step.bad_lit);
             if pdr.solve(&asmps) != Ok(true) {
                 continue;
             }
             let cti = pdr.extract_state_cube();
-            if pdr.enc.intersects_init(&cti) {
+            if pdr.bits.intersects_init(&cti) {
                 continue;
             }
             let QueryOutcome::Blocked(core) = pdr.blocking_query(&cti, 1).unwrap() else {
@@ -1152,7 +1060,7 @@ mod tests {
                 );
             }
             assert!(
-                !pdr.enc.intersects_init(&lemma),
+                !pdr.bits.intersects_init(&lemma),
                 "case {case}: generalized cube intersects reset"
             );
             // And the generalized cube itself is still blocked.
@@ -1167,52 +1075,89 @@ mod tests {
         assert!(exercised >= 20, "only {exercised} cases exercised the path");
     }
 
+    /// Runs PDR (frame limit 64) on `bad` 0 of `ts` and holds its verdict
+    /// against BMC ground truth: a `Proven` invariant passes the re-check
+    /// and BMC finds no counterexample within 16 cycles, a `Falsified {
+    /// depth }` reproduces on the BMC engine at that bound. Returns
+    /// `Some(true)` for a proof, `Some(false)` for a counterexample and
+    /// `None` for `Unknown`.
+    fn pdr_verdict_matches_bmc(case: u32, ctx: &Context, ts: &TransitionSystem) -> Option<bool> {
+        let out = prove_pdr(
+            ctx,
+            ts,
+            0,
+            &PdrOptions {
+                max_frames: 64,
+                ..PdrOptions::default()
+            },
+        );
+        assert_eq!(out.stats.recheck_failures, 0, "case {case}");
+        match out.verdict {
+            PdrVerdict::Proven { invariant, .. } => {
+                assert!(
+                    check_invariant(ctx, ts, 0, &invariant).is_ok(),
+                    "case {case}: invariant failed re-check"
+                );
+                let mut engine = gqed_bmc::BmcEngine::new(ctx, ts);
+                assert!(
+                    !engine.check_up_to(16).is_violated(),
+                    "case {case}: proven system has a counterexample"
+                );
+                Some(true)
+            }
+            PdrVerdict::Falsified { depth } => {
+                let mut engine = gqed_bmc::BmcEngine::new(ctx, ts);
+                assert!(
+                    engine.check_bad_at(0, depth).is_some(),
+                    "case {case}: no counterexample at reported depth {depth}"
+                );
+                Some(false)
+            }
+            PdrVerdict::Unknown { .. } => None,
+            PdrVerdict::Cancelled { .. } => panic!("case {case}: unlimited run cancelled"),
+        }
+    }
+
     /// Property: every returned invariant is genuinely inductive (passes
-    /// the independent re-check), and verdicts agree with BMC ground
-    /// truth — `Proven` systems have no counterexample within 16 cycles,
-    /// `Falsified { depth }` reproduces on the BMC engine at that bound.
+    /// the re-check), and verdicts agree with BMC ground truth.
     #[test]
     fn prop_returned_invariants_are_inductive_and_verdicts_match_bmc() {
         let mut rng = SplitMix64::new(0x01c3_badc_afe1);
         let (mut proofs, mut cexs) = (0u32, 0u32);
         for case in 0..120 {
             let (ctx, ts) = random_ts(&mut rng);
-            let out = prove_pdr(
-                &ctx,
-                &ts,
-                0,
-                &PdrOptions {
-                    max_frames: 64,
-                    ..PdrOptions::default()
-                },
-            );
-            match out.verdict {
-                PdrVerdict::Proven { invariant, .. } => {
-                    proofs += 1;
-                    assert!(
-                        check_invariant(&ctx, &ts, 0, &invariant).is_ok(),
-                        "case {case}: invariant failed re-check"
-                    );
-                    let mut engine = gqed_bmc::BmcEngine::new(&ctx, &ts);
-                    assert!(
-                        !engine.check_up_to(16).is_violated(),
-                        "case {case}: proven system has a counterexample"
-                    );
-                }
-                PdrVerdict::Falsified { depth } => {
-                    cexs += 1;
-                    let mut engine = gqed_bmc::BmcEngine::new(&ctx, &ts);
-                    assert!(
-                        engine.check_bad_at(0, depth).is_some(),
-                        "case {case}: no counterexample at reported depth {depth}"
-                    );
-                }
-                PdrVerdict::Unknown { .. } => {}
-                PdrVerdict::Cancelled { .. } => panic!("case {case}: unlimited run cancelled"),
+            match pdr_verdict_matches_bmc(case, &ctx, &ts) {
+                Some(true) => proofs += 1,
+                Some(false) => cexs += 1,
+                None => {}
             }
-            assert_eq!(out.stats.recheck_failures, 0, "case {case}");
         }
         assert!(proofs >= 10, "only {proofs} proofs across the family");
         assert!(cexs >= 10, "only {cexs} counterexamples across the family");
+    }
+
+    /// Property: the environment-constraint path agrees with BMC. Each
+    /// system of the random family gets one constraint `s != k` over a
+    /// random state; the step encoding asserts it over the current state
+    /// only (frame 0's activation literal as a unit), BMC at every frame.
+    #[test]
+    fn prop_constrained_systems_match_bmc() {
+        let mut rng = SplitMix64::new(0x5eed_c0de_0042);
+        let (mut proofs, mut cexs) = (0u32, 0u32);
+        for case in 0..200 {
+            let (mut ctx, mut ts) = random_ts(&mut rng);
+            let s = ts.states[rng.below(ts.states.len() as u64) as usize].term;
+            let w = ctx.width(s);
+            let k = ctx.constant(rng.below(1 << w) as u128, w);
+            let ne = ctx.ne(s, k);
+            ts.constraints.push(ne);
+            match pdr_verdict_matches_bmc(case, &ctx, &ts) {
+                Some(true) => proofs += 1,
+                Some(false) => cexs += 1,
+                None => {}
+            }
+        }
+        assert!(proofs >= 120, "only {proofs} proofs across the family");
+        assert!(cexs >= 60, "only {cexs} counterexamples across the family");
     }
 }
