@@ -13,7 +13,7 @@
 //!   invariant re-check run on;
 //! * [`trace`] — counterexample traces: per-frame input valuations plus
 //!   initial values of nondeterministic states;
-//! * [`replay`] — independent confirmation of every counterexample on the
+//! * [`replay`](mod@replay) — independent confirmation of every counterexample on the
 //!   concrete simulator (the engine refuses to return a trace that does not
 //!   replay — a hard soundness guard against bit-blasting or encoding
 //!   bugs);

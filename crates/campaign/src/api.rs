@@ -593,7 +593,6 @@ pub fn encode_verdict_fields(rec: JsonValue, verdict: &JobVerdict) -> JsonValue 
         JobVerdict::TimeoutEscalated { attempts } => rec.field("attempts_made", *attempts),
         JobVerdict::Failed { message } => rec.field("message", message.as_str()),
         JobVerdict::Cancelled => rec,
-        JobVerdict::Poisoned { crashes } => rec.field("crashes", *crashes),
     }
 }
 
@@ -619,37 +618,6 @@ pub fn decode_settled_verdict(r: &JsonValue) -> Option<JobVerdict> {
         "proven" => JobVerdict::Proven { k: u32_field("k")? },
         "unknown" => JobVerdict::Unknown {
             max_k: u32_field("max_k")?,
-        },
-        _ => return None,
-    })
-}
-
-/// Rebuilds *any* verdict — settled or not — from a record carrying a
-/// `verdict` tag and the fields written by [`encode_verdict_fields`].
-/// The fleet supervisor uses this to decode a worker child's
-/// `work_result`, where non-settled outcomes (timeout-escalated, failed,
-/// cancelled) are legitimate final answers; journal resume and the
-/// verdict store keep using [`decode_settled_verdict`] so unsettled
-/// verdicts still re-run.
-pub fn decode_verdict(r: &JsonValue) -> Option<JobVerdict> {
-    if let Some(v) = decode_settled_verdict(r) {
-        return Some(v);
-    }
-    let u32_field = |key: &str| {
-        r.get(key)
-            .and_then(JsonValue::as_u64)
-            .and_then(|v| u32::try_from(v).ok())
-    };
-    Some(match r.get("verdict").and_then(JsonValue::as_str)? {
-        "timeout-escalated" => JobVerdict::TimeoutEscalated {
-            attempts: u32_field("attempts_made")?,
-        },
-        "failed" => JobVerdict::Failed {
-            message: r.get("message")?.as_str()?.to_string(),
-        },
-        "cancelled" => JobVerdict::Cancelled,
-        "poisoned" => JobVerdict::Poisoned {
-            crashes: u32_field("crashes")?,
         },
         _ => return None,
     })

@@ -87,7 +87,7 @@ pub struct BenchRun {
     /// Total per-frame BMC queries issued.
     pub frames_solved: u64,
     /// Frames re-done by retries, summed over settled obligations (see
-    /// [`frames_redone`]); the regression gate requires 0.
+    /// `frames_redone`); the regression gate requires 0.
     pub frames_redone: u64,
     /// SAT conflicts of the deciding runs, summed over obligations.
     pub conflicts: u64,
@@ -187,9 +187,9 @@ const PDR_PROBE_PROPERTY: &str = "flow.orphan.c1";
 /// columns of the pipeline comparison.
 #[derive(Clone, Debug)]
 pub struct PdrProbe {
-    /// Fixture design name ([`PDR_PROBE_DESIGN`]).
+    /// Fixture design name (`PDR_PROBE_DESIGN`).
     pub fixture: &'static str,
-    /// Fixture property name ([`PDR_PROBE_PROPERTY`]).
+    /// Fixture property name (`PDR_PROBE_PROPERTY`).
     pub property: &'static str,
     /// Whether PDR proved the property (the gate requires it).
     pub proven: bool,
@@ -295,7 +295,7 @@ impl PdrProbe {
 /// and compares the two on the deterministic `frames_solved` metric,
 /// falling back to SAT conflicts as a tiebreak. Inprocessing is a pure
 /// performance knob: a verdict flip between the runs (see
-/// [`verdicts_equivalent`]), or the `on` run doing strictly more
+/// `verdicts_equivalent`), or the `on` run doing strictly more
 /// frame-solving work (or the same frames at more conflicts), is a
 /// regression.
 #[derive(Clone, Debug)]
@@ -315,7 +315,7 @@ pub struct SimplifyProbe {
     /// Verdicts contradicting the catalogue, summed over both runs.
     pub mismatches: usize,
     /// Whether every obligation got an equivalent verdict in both runs
-    /// (see [`verdicts_equivalent`]).
+    /// (see `verdicts_equivalent`).
     pub verdicts_match: bool,
     /// Inprocessing passes completed in the `on` run.
     pub simplify_rounds: u64,

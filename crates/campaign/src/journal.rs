@@ -103,53 +103,12 @@ pub enum WriteFault {
     FsyncError,
 }
 
-/// An injectable worker-process death, executed by a `gqed worker`
-/// child the moment it receives the marked dispatch — deterministic by
-/// construction (the kill fires before any solving, so the supervisor
-/// always observes the obligation in flight).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum KillFault {
-    /// The worker calls `abort()` — the shape of a heap-corruption trap,
-    /// a stack overflow, or any other in-process fatal error.
-    Abort,
-    /// The worker SIGKILLs itself — the shape of the OS OOM killer.
-    SigKill,
-    /// The worker goes silent without dying: no heartbeats, no result.
-    /// The supervisor must detect the loss by heartbeat timeout and kill
-    /// the child itself.
-    Hang,
-}
-
-impl KillFault {
-    /// Stable wire/telemetry tag.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            KillFault::Abort => "abort",
-            KillFault::SigKill => "sigkill",
-            KillFault::Hang => "hang",
-        }
-    }
-
-    /// Parses a wire tag back into the fault.
-    pub fn parse(tag: &str) -> Option<KillFault> {
-        match tag {
-            "abort" => Some(KillFault::Abort),
-            "sigkill" => Some(KillFault::SigKill),
-            "hang" => Some(KillFault::Hang),
-            _ => None,
-        }
-    }
-}
-
 /// A plan of journal-write faults, keyed by the zero-based index of the
 /// `append` call they strike (faulted appends still consume their
-/// index), plus deterministic worker-kill points for the fleet, keyed by
-/// `(obligation id, dispatch number)` — dispatch 1 is the first time the
-/// supervisor hands the obligation to a worker process.
+/// index).
 #[derive(Clone, Default, Debug)]
 pub struct FaultPlan {
     faults: HashMap<u64, WriteFault>,
-    kills: HashMap<(String, u32), KillFault>,
 }
 
 impl FaultPlan {
@@ -162,19 +121,6 @@ impl FaultPlan {
     pub fn inject(mut self, record_index: u64, fault: WriteFault) -> Self {
         self.faults.insert(record_index, fault);
         self
-    }
-
-    /// Adds a worker-kill point: the worker process solving `job`'s
-    /// `dispatch`-th fleet dispatch dies by `fault` (builder style).
-    pub fn kill_job(mut self, job: &str, dispatch: u32, fault: KillFault) -> Self {
-        self.kills.insert((job.to_string(), dispatch), fault);
-        self
-    }
-
-    /// The kill point planned for `job`'s `dispatch`-th fleet dispatch,
-    /// if any.
-    pub fn kill_for(&self, job: &str, dispatch: u32) -> Option<KillFault> {
-        self.kills.get(&(job.to_string(), dispatch)).copied()
     }
 }
 
@@ -367,8 +313,7 @@ fn scan_record(bytes: &[u8], pos: usize) -> Result<(JsonValue, usize), String> {
 }
 
 /// One obligation's final record as a verdict line carries it: replayed
-/// from a journal, read from the verdict store, or answered by a fleet
-/// worker.
+/// from a journal or read from the verdict store.
 #[derive(Clone, Debug)]
 pub struct ReplayedRecord {
     /// The reconstructed final verdict.
@@ -416,7 +361,7 @@ impl ResumeState {
                     let Some(job) = r.get("job").and_then(JsonValue::as_str) else {
                         continue;
                     };
-                    match replay_verdict(r, crate::api::decode_settled_verdict) {
+                    match replay_verdict(r) {
                         Some(rr) => {
                             state.completed.insert(job.to_string(), rr);
                         }
@@ -434,18 +379,12 @@ impl ResumeState {
     }
 }
 
-/// Rebuilds the record a verdict line carries, its verdict decoded by
-/// `decode`; `None` when `decode` refuses the verdict. Journal resume
-/// and the verdict store pass [`crate::api::decode_settled_verdict`], so
-/// unsettled or malformed verdicts re-run; the fleet supervisor passes
-/// [`crate::api::decode_verdict`] to read a worker's final answer. The
-/// journal shares this record vocabulary with the serve protocol, the
-/// verdict store and the fleet's `work_result` line.
-pub(crate) fn replay_verdict(
-    r: &JsonValue,
-    decode: fn(&JsonValue) -> Option<JobVerdict>,
-) -> Option<ReplayedRecord> {
-    let verdict = decode(r)?;
+/// Rebuilds the record a verdict line carries; `None` unless its verdict
+/// is settled (see [`crate::api::decode_settled_verdict`]), so unsettled
+/// or malformed verdicts re-run. Journal resume and the verdict store
+/// share this record vocabulary with the serve protocol.
+pub(crate) fn replay_verdict(r: &JsonValue) -> Option<ReplayedRecord> {
+    let verdict = crate::api::decode_settled_verdict(r)?;
     Some(ReplayedRecord {
         verdict,
         attempts: r
@@ -619,6 +558,12 @@ mod tests {
                 .field("verdict", "proven")
                 .field("k", 2u32)
                 .field("engine", "kind"),
+            // Written by the retired worker-process fleet: never settled.
+            JsonValue::obj()
+                .field("type", "verdict")
+                .field("job", "e")
+                .field("verdict", "poisoned")
+                .field("crashes", 3u32),
             // A later run re-ran "a" and it timed out: it must re-run again.
             JsonValue::obj()
                 .field("type", "verdict")
@@ -629,6 +574,7 @@ mod tests {
         assert_eq!(state.manifest_crc, Some(7));
         assert!(!state.completed.contains_key("a"), "superseded by timeout");
         assert!(!state.completed.contains_key("b"), "failed must re-run");
+        assert!(!state.completed.contains_key("e"), "poisoned must re-run");
         let c = &state.completed["c"];
         assert_eq!(c.engine, "pdr");
         assert!(matches!(

@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 pub mod api;
 pub mod bench;
-pub mod fleet;
 pub mod journal;
 pub mod json;
 pub mod mutants;
@@ -44,10 +43,9 @@ pub use api::{ApiError, BatchRequest, BatchResponse, ObligationSpec, SCHEMA_VERS
 pub use bench::{
     run_bench, run_pdr_probe, run_simplify_probe, BenchReport, BenchRun, PdrProbe, SimplifyProbe,
 };
-pub use fleet::{chaos_kill_plan, run_worker, FleetConfig};
 pub use journal::{
-    crc32, manifest_crc, read_journal, FaultPlan, Journal, JournalReplay, KillFault,
-    ReplayedRecord, ResumeState, WriteFault,
+    crc32, manifest_crc, read_journal, FaultPlan, Journal, JournalReplay, ReplayedRecord,
+    ResumeState, WriteFault,
 };
 pub use json::{parse_json, JsonValue};
 pub use mutants::{

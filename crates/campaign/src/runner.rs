@@ -13,12 +13,6 @@
 //! settling it; workers return their records and the campaign assembles
 //! them in obligation order.
 //!
-//! An obligation is either solved on the worker thread or, when a
-//! [`Campaign::fleet`] is attached and the obligation has a wire form,
-//! handed to the thread's [`crate::fleet`] dispatcher, which runs all of
-//! its attempts in a crash-isolated worker process on the same schedule
-//! and reports back the settled outcome.
-//!
 //! Clean-design proof obligations run an engine *portfolio*
 //! ([`CampaignConfig::engines`]): bounded BMC and IC3/PDR run
 //! concurrently sharing one prebuilt model and one cancellation flag,
@@ -34,7 +28,7 @@
 //!
 //! * **journaling** — a campaign built with [`Campaign::journal`]
 //!   appends every verdict (fsync'd) and escalation attempt to a
-//!   crash-safe [`Journal`](crate::journal::Journal), and
+//!   crash-safe [`Journal`], and
 //!   [`Campaign::resume`] replays a prior run's journal so completed
 //!   obligations are skipped on `--resume`;
 //! * **memory degradation** — when the solver's clause arena exceeds
@@ -46,9 +40,11 @@
 //!   wires SIGINT/SIGTERM to it) interrupts in-flight solvers; affected
 //!   obligations finish as `cancelled` with a journal checkpoint so a
 //!   resumed campaign re-runs exactly them.
+//!
+//! Process death (an abort, a stack overflow, the OS OOM killer) is
+//! recovered from the journal: its fsync'd verdicts survive the process,
+//! and [`Campaign::resume`] re-runs only what had not settled.
 
-use crate::api::ObligationSpec;
-use crate::fleet::{DispatchOutcome, Dispatcher, FleetConfig, FleetTally};
 use crate::journal::{Journal, ReplayedRecord, ResumeState};
 use crate::json::JsonValue;
 use crate::obligation::{Obligation, ObligationKind};
@@ -215,15 +211,6 @@ pub enum JobVerdict {
     /// [`CampaignConfig::interrupt`]) before this obligation settled. A
     /// resumed campaign re-runs it.
     Cancelled,
-    /// The obligation crashed its worker process (abort, signal, or
-    /// heartbeat loss) on every dispatch up to the fleet's crash budget
-    /// and was quarantined instead of taking the campaign down. Like
-    /// `Cancelled`, a resumed campaign re-runs it, and the verdict store
-    /// refuses it — "faults delay, never flip" extends to process death.
-    Poisoned {
-        /// Worker crashes attributed to this obligation.
-        crashes: u32,
-    },
 }
 
 impl JobVerdict {
@@ -251,7 +238,6 @@ impl JobVerdict {
             JobVerdict::TimeoutEscalated { .. } => "timeout-escalated",
             JobVerdict::Failed { .. } => "failed",
             JobVerdict::Cancelled => "cancelled",
-            JobVerdict::Poisoned { .. } => "poisoned",
         }
     }
 
@@ -270,7 +256,6 @@ impl JobVerdict {
             JobVerdict::TimeoutEscalated { .. } => "timeout".to_string(),
             JobVerdict::Failed { .. } => "failed".to_string(),
             JobVerdict::Cancelled => "cancelled".to_string(),
-            JobVerdict::Poisoned { .. } => "poisoned".to_string(),
         }
     }
 }
@@ -330,18 +315,6 @@ pub struct CampaignSummary {
     pub failures: usize,
     /// Obligations cancelled by an interrupt before settling.
     pub cancelled: usize,
-    /// Obligations quarantined after exhausting the fleet's per-job
-    /// crash budget. Zero outside fleet mode.
-    pub poisoned: usize,
-    /// Worker-process deaths observed by the fleet supervisor (exit,
-    /// signal, or heartbeat loss). Zero outside fleet mode.
-    pub worker_crashes: u64,
-    /// Crashed worker processes respawned (after capped exponential
-    /// backoff). Zero outside fleet mode.
-    pub worker_restarts: u64,
-    /// In-flight obligations re-dispatched after their worker died.
-    /// Zero outside fleet mode.
-    pub requeued: u64,
     /// Obligations whose verdict was replayed from a resume journal
     /// instead of being re-run.
     pub replayed: usize,
@@ -374,11 +347,7 @@ impl CampaignSummary {
     /// Whether every obligation reached a conclusive verdict agreeing
     /// with the catalogue.
     pub fn is_success(&self) -> bool {
-        self.failures == 0
-            && self.timeouts == 0
-            && self.mismatches == 0
-            && self.cancelled == 0
-            && self.poisoned == 0
+        self.failures == 0 && self.timeouts == 0 && self.mismatches == 0 && self.cancelled == 0
     }
 
     /// Process exit code for the CLI: 0 on success, 130 when the
@@ -511,8 +480,7 @@ impl Shared<'_> {
 /// journaling, [`Campaign::resume`] to replay a prior journal,
 /// [`Campaign::verdict_store`] for content-addressed verdict caching,
 /// [`Campaign::model_cache`] to share synthesized models across
-/// campaigns (the serve loop keeps one cache for its whole lifetime),
-/// and [`Campaign::fleet`] to solve in crash-isolated worker processes.
+/// campaigns (the serve loop keeps one cache for its whole lifetime).
 ///
 /// Every obligation ends in exactly one `job_verdict` telemetry event; a
 /// `campaign_summary` event closes the stream.
@@ -523,7 +491,6 @@ pub struct Campaign<'a> {
     resume: Option<&'a ResumeState>,
     store: Option<&'a VerdictStore>,
     model_cache: Option<Arc<ModelCache>>,
-    fleet: Option<FleetConfig>,
 }
 
 impl<'a> Campaign<'a> {
@@ -536,7 +503,6 @@ impl<'a> Campaign<'a> {
             resume: None,
             store: None,
             model_cache: None,
-            fleet: None,
         }
     }
 
@@ -583,20 +549,6 @@ impl<'a> Campaign<'a> {
     /// campaign's lookups only.
     pub fn model_cache(mut self, cache: Arc<ModelCache>) -> Self {
         self.model_cache = Some(cache);
-        self
-    }
-
-    /// Solves on a supervised fleet of worker *processes*: each of
-    /// `fleet.workers` worker threads dispatches wire-representable
-    /// obligations to its own `gqed worker` child over stdin/stdout,
-    /// restarts crashed children and re-dispatches their in-flight
-    /// obligations, and quarantines an obligation as
-    /// [`JobVerdict::Poisoned`] once it exhausts the fleet's per-job
-    /// crash budget. The normalized summary is byte-identical to the
-    /// in-process runner's at any worker count, including under injected
-    /// worker kills.
-    pub fn fleet(mut self, fleet: FleetConfig) -> Self {
-        self.fleet = Some(fleet);
         self
     }
 
@@ -680,33 +632,17 @@ impl<'a> Campaign<'a> {
             };
             shared.journal_append(&record, true);
         }
-        let workers = match &self.fleet {
-            Some(f) => f.workers,
-            None => self.config.jobs,
-        }
-        .max(1)
-        .min(n.max(1));
+        let workers = self.config.jobs.max(1).min(n.max(1));
         let shared_ref = &shared;
-        let fleet = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
-                .map(|slot| {
-                    let dispatcher = self.fleet.as_ref().map(|f| {
-                        Dispatcher::new(f, &self.config, telemetry, &shared_ref.cancel, slot)
-                    });
-                    s.spawn(move || worker(shared_ref, dispatcher))
-                })
+                .map(|_| s.spawn(move || worker(shared_ref)))
                 .collect();
-            let mut tally = FleetTally::default();
             for h in handles {
-                let (settled, t) = join_side(h.join());
-                for (i, record) in settled {
+                for (i, record) in join_side(h.join()) {
                     records[i] = Some(record);
                 }
-                tally.crashes += t.crashes;
-                tally.restarts += t.restarts;
-                tally.requeued += t.requeued;
             }
-            tally
         });
         let records: Vec<JobRecord> = records
             .into_iter()
@@ -716,9 +652,6 @@ impl<'a> Campaign<'a> {
         let mut summary = CampaignSummary {
             wall: t0.elapsed(),
             jobs: workers,
-            worker_crashes: fleet.crashes,
-            worker_restarts: fleet.restarts,
-            requeued: fleet.requeued,
             replayed,
             cache_hits: shared.cache_hits.load(Ordering::Relaxed),
             cache_misses: shared.cache_misses.load(Ordering::Relaxed),
@@ -741,7 +674,6 @@ impl<'a> Campaign<'a> {
                 JobVerdict::TimeoutEscalated { .. } => summary.timeouts += 1,
                 JobVerdict::Failed { .. } => summary.failures += 1,
                 JobVerdict::Cancelled => summary.cancelled += 1,
-                JobVerdict::Poisoned { .. } => summary.poisoned += 1,
             }
             if r.mismatch {
                 summary.mismatches += 1;
@@ -758,10 +690,6 @@ impl<'a> Campaign<'a> {
                 .field("timeouts", summary.timeouts)
                 .field("failures", summary.failures)
                 .field("cancelled", summary.cancelled)
-                .field("poisoned", summary.poisoned)
-                .field("worker_crashes", summary.worker_crashes)
-                .field("worker_restarts", summary.worker_restarts)
-                .field("requeued", summary.requeued)
                 .field("replayed", summary.replayed)
                 .field("mismatches", summary.mismatches)
                 .field("cache_hits", summary.cache_hits)
@@ -797,61 +725,29 @@ fn is_mismatch(obl: &Obligation, verdict: &JobVerdict) -> bool {
 /// The campaign worker loop, one per worker thread: claims obligations
 /// until none is left and settles each one completely. Nothing is ever
 /// re-enqueued, so the cursor passing the end means the worker is done.
-/// Returns the settled records with their obligation indices, and the
-/// dispatcher's crash tally.
-fn worker(
-    shared: &Shared,
-    mut dispatcher: Option<Dispatcher>,
-) -> (Vec<(usize, JobRecord)>, FleetTally) {
+/// Returns the settled records with their obligation indices.
+fn worker(shared: &Shared) -> Vec<(usize, JobRecord)> {
     let mut settled = Vec::new();
     while let Some(&index) = shared
         .pending
         .get(shared.next.fetch_add(1, Ordering::Relaxed))
     {
-        settled.push((index, settle(shared, dispatcher.as_mut(), index)));
+        settled.push((index, settle(shared, index)));
     }
-    (settled, dispatcher.map(|d| d.tally).unwrap_or_default())
+    settled
 }
 
 /// Settles obligation `index`: the shutdown drain (once the interrupt is
 /// raised, an unclaimed obligation finishes as cancelled without a probe
-/// or a solve), the content-addressed store probe, a fleet dispatch when
-/// a dispatcher is attached and the obligation has a wire form, and
-/// otherwise — also when no child can be spawned — the in-process
+/// or a solve), the content-addressed store probe, and otherwise the
 /// attempts.
-fn settle(shared: &Shared, dispatcher: Option<&mut Dispatcher>, index: usize) -> JobRecord {
+fn settle(shared: &Shared, index: usize) -> JobRecord {
     let mut spent = Spent::default();
     if shared.cancel.load(Ordering::Relaxed) {
         return cancel_job(shared, index, spent, None);
     }
     if let Some(record) = store_probe(shared, index, &mut spent) {
         return record;
-    }
-    let obl = &shared.obligations[index];
-    let dispatch =
-        dispatcher.and_then(|d| ObligationSpec::from_obligation(obl).map(|spec| (d, spec)));
-    if let Some((d, spec)) = dispatch {
-        match d.dispatch(&obl.id, &spec) {
-            DispatchOutcome::Settled(r) => {
-                spent.attempts = r.attempts;
-                spent.wall += Duration::from_millis(r.wall_ms);
-                spent.frames += r.frames_solved;
-                return finish(shared, index, spent, r.verdict, r.engine, None, None);
-            }
-            DispatchOutcome::Cancelled => {
-                spent.attempts = 1;
-                return cancel_job(shared, index, spent, None);
-            }
-            // Quarantine: a Poisoned verdict settles the obligation
-            // without flipping anything — it is not conclusive, so the
-            // store refuses it and a resumed campaign re-runs it.
-            DispatchOutcome::Poisoned { crashes } => {
-                spent.attempts = crashes;
-                let verdict = JobVerdict::Poisoned { crashes };
-                return finish(shared, index, spent, verdict, "-", None, None);
-            }
-            DispatchOutcome::SpawnFailed => {}
-        }
     }
     solve_attempts(shared, index, spent)
 }

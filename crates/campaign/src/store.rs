@@ -137,8 +137,7 @@ impl VerdictStore {
             else {
                 continue;
             };
-            if let Some(rr) = crate::journal::replay_verdict(r, crate::api::decode_settled_verdict)
-            {
+            if let Some(rr) = crate::journal::replay_verdict(r) {
                 if rr.verdict.is_conclusive() {
                     map.insert(key.0, rr);
                 }

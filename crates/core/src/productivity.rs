@@ -1,6 +1,6 @@
 //! Verification-productivity cost model for the industrial case study.
 //!
-//! **[SUBSTITUTION]** The paper reports an 18× productivity improvement —
+//! **\[SUBSTITUTION\]** The paper reports an 18× productivity improvement —
 //! 370 person-days for the conventional flow vs 21 person-days for G-QED —
 //! measured on an Infineon IP. Person-days cannot be re-measured in a
 //! library, so this module reproduces the claim with an explicit,

@@ -47,7 +47,7 @@
 //!   violates the transactional contract directly.
 //!
 //! Mechanized witness: every trace the engine returns is replayed on the
-//! concrete simulator ([`gqed_bmc::replay`]) before being reported, and
+//! concrete simulator ([`gqed_bmc::replay()`]) before being reported, and
 //! the integration suite checks that no bug-free design build yields a
 //! G-QED violation (`tests/soundness.rs`).
 //!

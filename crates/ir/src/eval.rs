@@ -3,7 +3,7 @@
 //!
 //! [`eval_terms`] evaluates a set of root terms bottom-up given a valuation
 //! of the leaves (inputs and states). [`Sim`] drives a
-//! [`TransitionSystem`](crate::ts::TransitionSystem) cycle by cycle; it is
+//! [`TransitionSystem`] cycle by cycle; it is
 //! the ground truth the bit-blaster and BMC engine are validated against,
 //! and the replay oracle used to confirm every counterexample the paper's
 //! flow reports (soundness in practice).

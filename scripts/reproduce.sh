@@ -38,9 +38,6 @@ grep -E 'engine wins: [0-9]+ bmc, [1-9][0-9]* pdr' \
 echo "== serve smoke (content-addressed verdict cache over TCP) =="
 scripts/serve_smoke.sh target/release/gqed | tee "$out/serve-smoke.txt"
 
-echo "== fleet chaos smoke (seeded worker kills, byte-identical summary) =="
-scripts/fleet_chaos_smoke.sh target/release/gqed | tee "$out/fleet-chaos-smoke.txt"
-
 echo "== mutation campaign (seeded detection-rate table, $jobs workers) =="
 cargo run --release -q --bin gqed -- mutants \
   --seed 1 --per-design 10 --jobs "$jobs" \

@@ -7,7 +7,7 @@
 //! line naming it and exits 2.
 
 use gqed::campaign::{
-    CampaignConfig, CampaignSummary, EngineId, FleetConfig, FlowFilter, Obligation, Telemetry,
+    CampaignConfig, CampaignSummary, EngineId, FlowFilter, Obligation, Telemetry,
 };
 use gqed::core::productivity::{
     conventional_person_days, gqed_person_days, productivity_gain, CaseStudy, ConventionalCosts,
@@ -51,16 +51,6 @@ const RUN: &[Flag] = &[
     ("--resume", VALUE),      // resume a journal: re-run only the unsettled obligations
     ("--summary-out", VALUE), // normalized summary, stable across runs and resumes
     ("--store", VALUE),       // content-addressed verdict store: hits skip the solver
-];
-/// Solve on supervised `gqed worker` processes instead of threads:
-/// crashes are contained, crashed obligations requeued, repeat offenders
-/// quarantined as `poisoned`. The flags after `--fleet` require it.
-const FLEET: &[Flag] = &[
-    ("--fleet", VALUE),                // worker processes
-    ("--crash-budget", VALUE),         // crashes one obligation may cause (default 3)
-    ("--heartbeat-timeout-ms", VALUE), // silence before a restart (default 30000)
-    ("--chaos-kills", VALUE),          // kill the worker on n seeded first dispatches
-    ("--chaos-seed", VALUE),           // seed for --chaos-kills (default 1)
 ];
 const CHECK: &[Flag] = &[
     ("--bug", VALUE),   // inject a catalogued bug
@@ -138,7 +128,7 @@ const COMMANDS: &[Command] = &[
     Command("prove", "<design>", &[PROVE], cmd_prove),
     // The verification campaign. `--flow gqed --engines bmc` is the
     // catalogue bug hunt: one G-QED check per bug, MISMATCH on disagreement.
-    Command("campaign", "[<design>…|--all]", &[KNOBS, LOCAL, RUN, FLEET, ALL], cmd_campaign),
+    Command("campaign", "[<design>…|--all]", &[KNOBS, LOCAL, RUN, ALL], cmd_campaign),
     // Seeded mutation campaign: synthesize mutants, solve them, report the
     // detection-rate table. Engines default to bmc-only so the table is
     // byte-identical at any worker count.
@@ -147,9 +137,6 @@ const COMMANDS: &[Command] = &[
     Command("serve", "", &[KNOBS, LOCAL, SERVE], cmd_serve),
     // One batch to a running server.
     Command("submit", "[<design>…|--all]", &[KNOBS, SUBMIT, ALL], cmd_submit),
-    // Fleet worker child (internal): work_request lines on stdin, answers on
-    // stdout (EXPERIMENTS.md).
-    Command("worker", "", &[], cmd_worker),
     // Pipeline benchmark: one escalating campaign gated on exact resume
     // accounting, plus the PDR and inprocessing probes.
     Command("bench", "", &[BENCH], cmd_bench),
@@ -662,7 +649,6 @@ fn run_obligations(
     args: &Args,
     obligations: &[Obligation],
     config: CampaignConfig,
-    fleet: Option<FleetConfig>,
 ) -> CampaignSummary {
     use gqed::campaign::{manifest_crc, Campaign, Journal, VerdictStore};
 
@@ -713,19 +699,12 @@ fn run_obligations(
     });
     let config = config.with_interrupt(interrupt_on_signal(true));
 
-    let name = args.name;
-    match fleet.as_ref() {
-        Some(f) => eprintln!(
-            "{name}: {} obligations, {} worker process(es)…",
-            obligations.len(),
-            f.workers.max(1)
-        ),
-        None => eprintln!(
-            "{name}: {} obligations, {} worker(s)…",
-            obligations.len(),
-            config.jobs.max(1)
-        ),
-    }
+    eprintln!(
+        "{}: {} obligations, {} worker(s)…",
+        args.name,
+        obligations.len(),
+        config.jobs.max(1)
+    );
     let mut campaign = Campaign::new(obligations).config(config);
     if let Some(j) = journal.as_ref() {
         campaign = campaign.journal(j);
@@ -736,9 +715,6 @@ fn run_obligations(
     if let Some(store) = store.as_ref() {
         campaign = campaign.verdict_store(store);
     }
-    if let Some(f) = fleet {
-        campaign = campaign.fleet(f);
-    }
     let summary = campaign.run(&telemetry);
 
     if let Some(path) = args.value("--summary-out") {
@@ -747,35 +723,11 @@ fn run_obligations(
     summary
 }
 
-/// The `--fleet` configuration, `None` without `--fleet`. The chaos plan
-/// is drawn over `obligations`.
-fn fleet_config(args: &Args, obligations: &[Obligation]) -> Option<FleetConfig> {
-    let Some(workers) = args.parsed("--fleet") else {
-        if let Some(&(name, _)) = FLEET[1..].iter().find(|f| args.has(f.0)) {
-            args.fail(&format!("{name} requires --fleet"));
-        }
-        return None;
-    };
-    let mut f = FleetConfig::default().with_workers(workers);
-    if let Some(budget) = args.parsed("--crash-budget") {
-        f = f.with_crash_budget(budget);
-    }
-    if let Some(ms) = args.parsed("--heartbeat-timeout-ms") {
-        f = f.with_heartbeat_timeout_ms(ms);
-    }
-    let seed = args.parsed("--chaos-seed").unwrap_or(1);
-    if let Some(kills) = args.parsed("--chaos-kills") {
-        f = f.with_faults(gqed::campaign::chaos_kill_plan(obligations, kills, seed));
-    }
-    Some(f)
-}
-
 fn cmd_campaign(args: &Args) {
     let designs = args.designs();
     let config = campaign_config(args);
     let obligations = gqed::campaign::enumerate_obligations(parse_flows(args), designs);
-    let fleet = fleet_config(args, &obligations);
-    let summary = run_obligations(args, &obligations, config, fleet);
+    let summary = run_obligations(args, &obligations, config);
 
     println!(
         "{:34} {:8} {:44} {:>3} {:>10}  engine",
@@ -794,7 +746,7 @@ fn cmd_campaign(args: &Args) {
         );
     }
     println!(
-        "\n{} obligations in {:.2?} on {} worker(s): {} violations, {} passes, {} unknown, {} timeouts, {} failures, {} cancelled, {} poisoned, {} replayed, {} mismatches",
+        "\n{} obligations in {:.2?} on {} worker(s): {} violations, {} passes, {} unknown, {} timeouts, {} failures, {} cancelled, {} replayed, {} mismatches",
         summary.records.len(),
         summary.wall,
         summary.jobs,
@@ -804,7 +756,6 @@ fn cmd_campaign(args: &Args) {
         summary.timeouts,
         summary.failures,
         summary.cancelled,
-        summary.poisoned,
         summary.replayed,
         summary.mismatches
     );
@@ -812,12 +763,6 @@ fn cmd_campaign(args: &Args) {
         "engine wins: {} bmc, {} pdr",
         summary.wins_bmc, summary.wins_pdr
     );
-    if args.has("--fleet") {
-        println!(
-            "fleet: {} worker crash(es), {} restart(s), {} requeue(s)",
-            summary.worker_crashes, summary.worker_restarts, summary.requeued
-        );
-    }
     if args.has("--store") {
         println!(
             "verdict store: {} cache hits, {} cache misses",
@@ -852,7 +797,7 @@ fn cmd_mutants(args: &Args) {
         batch.discarded_dups,
         batch.obligations.len()
     );
-    let summary = run_obligations(args, &batch.obligations, config, None);
+    let summary = run_obligations(args, &batch.obligations, config);
 
     let report = MutantsReport::from_summary(&batch, &summary, floor);
     print!("{}", report.render_table());
@@ -1000,10 +945,6 @@ fn cmd_submit(args: &Args) {
         response.cache_hits, response.cache_misses
     );
     exit(i32::try_from(response.exit_code).unwrap_or(1));
-}
-
-fn cmd_worker(_: &Args) {
-    exit(gqed::campaign::run_worker());
 }
 
 fn cmd_bench(args: &Args) {

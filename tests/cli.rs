@@ -27,6 +27,7 @@ fn bad_flags_exit_2_with_one_line_naming_the_flag() {
             "--crash-budget",
         ),
         (&["campaign", "relu", "--engines", "kind"], "--engines"),
+        (&["campaign", "relu", "--fleet", "2"], "--fleet"),
     ];
     for &(args, flag) in cases {
         let out = gqed(args);
